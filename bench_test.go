@@ -20,7 +20,6 @@ import (
 	"snapk/internal/engine/parallel"
 	"snapk/internal/harness"
 	"snapk/internal/krel"
-	"snapk/internal/rewrite"
 	"snapk/internal/workload"
 )
 
@@ -264,30 +263,6 @@ func BenchmarkTimeslice(b *testing.B) {
 				cnt++
 			}
 		}
-	}
-}
-
-// BenchmarkAblationPushdown measures the selection-pushdown optimizer
-// (an extension beyond the paper; see DESIGN.md §6) on the selective
-// join query join-3.
-func BenchmarkAblationPushdown(b *testing.B) {
-	db := dataset.Employees(benchEmployees)
-	wq, _ := workload.ByID(workload.Employees(), "join-3")
-	q, err := wq.Translate(db)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []struct {
-		name     string
-		pushdown bool
-	}{{"pushdown", true}, {"plain", false}} {
-		b.Run("mode="+mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := rewrite.Run(db, q, rewrite.Options{Pushdown: mode.pushdown}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -12,9 +12,9 @@ import "fmt"
 // All transformations are bag-algebra identities and therefore — by
 // snapshot-reducibility — also snapshot-semantics identities; the
 // differential tests in rewrite verify Optimize(q) ≡ q on random
-// databases against the per-snapshot oracle. Because our engine
-// materializes every operator's output, pushdown reduces intermediate
-// sizes directly.
+// databases against the per-snapshot oracle. rewrite.PlanQuery runs it
+// on every query before the REWR reduction, so filters apply at the
+// scans instead of above the rewritten joins and aggregations.
 func Optimize(q Query, cat Catalog) (Query, error) {
 	if _, err := OutSchema(q, cat); err != nil {
 		return nil, err

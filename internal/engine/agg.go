@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -79,13 +81,18 @@ func prepareAggregate(data tuple.Schema, groupBy []string, aggs []algebra.AggSpe
 // aggregateSweep is the pre-aggregated implementation: one endpoint sweep
 // per group with incremental accumulators.
 func aggregateSweep(in *Table, out *Table, groupIdx []int, aggs []algebra.AggSpec, argIdx []int, dom interval.Domain) {
+	// A sweep event is pointer-free, so sorting moves 16 bytes and the
+	// collector never scans it: seq is 2·(the row's index in its group)
+	// for the row's entry at its begin, plus 1 for its exit at its end.
+	// Ordering by (t, seq) is the order a stable sort by t over the events
+	// in input order gives, so float accumulators add in the same order.
 	type rowEvent struct {
-		t     interval.Time
-		row   tuple.Tuple
-		enter bool
+		t   interval.Time
+		seq int
 	}
 	type grp struct {
 		group  tuple.Tuple
+		rows   []tuple.Tuple
 		events []rowEvent
 	}
 	global := len(groupIdx) == 0
@@ -102,15 +109,20 @@ func aggregateSweep(in *Table, out *Table, groupIdx []int, aggs []algebra.AggSpe
 			groups[string(scratch)] = acc
 		}
 		iv := in.Interval(row)
-		acc.events = append(acc.events,
-			rowEvent{t: iv.Begin, row: row, enter: true},
-			rowEvent{t: iv.End, row: row, enter: false})
+		seq := 2 * len(acc.rows)
+		acc.rows = append(acc.rows, row)
+		acc.events = append(acc.events, rowEvent{t: iv.Begin, seq: seq}, rowEvent{t: iv.End, seq: seq + 1})
 	}
 	if global && len(groups) == 0 {
 		groups[""] = &grp{group: tuple.Tuple{}}
 	}
 	for _, g := range groups {
-		sort.SliceStable(g.events, func(i, j int) bool { return g.events[i].t < g.events[j].t })
+		slices.SortFunc(g.events, func(a, b rowEvent) int {
+			if a.t != b.t {
+				return cmp.Compare(a.t, b.t)
+			}
+			return cmp.Compare(a.seq, b.seq)
+		})
 		sweepers := make([]*aggSweeper, len(aggs))
 		for i, a := range aggs {
 			sweepers[i] = newAggSweeper(a.Fn)
@@ -142,17 +154,19 @@ func aggregateSweep(in *Table, out *Table, groupIdx []int, aggs []algebra.AggSpe
 			emit(interval.Interval{Begin: segStart, End: t})
 			for i < len(g.events) && g.events[i].t == t {
 				ev := g.events[i]
-				if ev.enter {
+				enter := ev.seq&1 == 0
+				if enter {
 					alive++
 				} else {
 					alive--
 				}
+				row := g.rows[ev.seq>>1]
 				for j, sw := range sweepers {
 					var arg tuple.Value
 					if argIdx[j] >= 0 {
-						arg = ev.row[argIdx[j]]
+						arg = row[argIdx[j]]
 					}
-					sw.update(arg, ev.enter)
+					sw.update(arg, enter)
 				}
 				i++
 			}

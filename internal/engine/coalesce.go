@@ -2,7 +2,8 @@ package engine
 
 import (
 	"bytes"
-	"sort"
+	"cmp"
+	"slices"
 
 	"snapk/internal/interval"
 	"snapk/internal/tuple"
@@ -75,7 +76,7 @@ func Coalesce(in *Table, impl CoalesceImpl) *Table {
 			passes = coalesceSortSteps
 		}
 		for p := 0; p < passes; p++ {
-			sort.Slice(g.events, func(i, j int) bool { return g.events[i].t < g.events[j].t })
+			slices.SortFunc(g.events, func(a, b event) int { return cmp.Compare(a.t, b.t) })
 		}
 		var cur int64
 		var segStart interval.Time

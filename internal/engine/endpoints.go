@@ -1,8 +1,10 @@
 package engine
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
+	"snapk/internal/interval"
 	"snapk/internal/tuple"
 )
 
@@ -37,9 +39,33 @@ func CompareEndpoints(a, b tuple.Tuple) int {
 // EndpointLess reports whether a precedes b in endpoint order.
 func EndpointLess(a, b tuple.Tuple) bool { return CompareEndpoints(a, b) < 0 }
 
-// SortRowsByEndpoints sorts rows in place into endpoint order.
+// SortRowsByEndpoints sorts rows in place into endpoint order, stably:
+// rows with equal (begin, end) keep their input order. It sorts flat
+// (begin, end, index) keys — the index makes every key distinct, so the
+// unstable pdqsort is stable — and then permutes the rows.
 func SortRowsByEndpoints(rows []tuple.Tuple) {
-	sort.SliceStable(rows, func(i, j int) bool { return EndpointLess(rows[i], rows[j]) })
+	type key struct {
+		begin, end interval.Time
+		i          int
+	}
+	keys := make([]key, len(rows))
+	for i, row := range rows {
+		iv := rowInterval(row)
+		keys[i] = key{iv.Begin, iv.End, i}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		if a.begin != b.begin {
+			return cmp.Compare(a.begin, b.begin)
+		}
+		if a.end != b.end {
+			return cmp.Compare(a.end, b.end)
+		}
+		return cmp.Compare(a.i, b.i)
+	})
+	src := slices.Clone(rows)
+	for i, k := range keys {
+		rows[i] = src[k.i]
+	}
 }
 
 // RowsBeginSorted reports whether rows are already ordered by ascending

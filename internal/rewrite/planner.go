@@ -11,8 +11,9 @@ import (
 // This file is the planner entry point: the phased replacement for the
 // rule-only rewriter. PlanQuery runs four explicit phases —
 //
-//	1. logical rewrite   — the REWR reduction (rewrite.go), preceded by
-//	                       the algebraic select pushdown when enabled
+//	1. logical rewrite   — the algebraic selection pushdown
+//	                       (algebra.Optimize), then the REWR reduction
+//	                       (rewrite.go)
 //	2. pushdown          — moves the time window τ_T below the REWR
 //	                       operators where the temporal algebra allows
 //	                       (pushdown.go documents the per-rule legality
@@ -25,19 +26,20 @@ import (
 //	                       pre-sizing, zone-map scan pruning, adaptive
 //	                       worker count (physical.go)
 //
-// Every phase beyond the logical rewrite is gated by a PlannerKnobs
-// flag, so each optimization is independently ablatable and the
-// all-knobs-off plan is byte-identical to the rule-only rewriter's
-// output.
+// Phase 1 always runs in full, in every Mode: the host DBMS under the
+// paper's middleware would push selections below the rewritten joins
+// and aggregations, and snapk is its own host. Every phase beyond it is
+// gated by a PlannerKnobs flag, so each of those optimizations is
+// independently ablatable; the all-knobs-off plan is the REWR reduction
+// of the selection-pushed query with the window clipped at the root.
 
 // PlannerKnobs enables the cost-aware planner phases individually —
 // the ablation switches of the `snapbench -exp opt` study. The zero
 // value disables them all.
 type PlannerKnobs struct {
 	// Pushdown moves the time window (Options.Window) below the REWR
-	// operators toward the scans, and applies the algebraic selection
-	// pushdown (algebra.Optimize) before the rewrite — the plan-level
-	// and query-level halves of the same phase.
+	// operators toward the scans. (Selection pushdown is not a knob: it
+	// is part of phase 1.)
 	Pushdown bool
 	// Prune permits the zone-map check on windowed scans: a stored table
 	// whose endpoint envelope is disjoint from the window is skipped
@@ -81,23 +83,16 @@ func (d *Decisions) note(format string, args ...any) {
 // need cat to be an *engine.DB (otherwise they are skipped — there are
 // no stored rows to measure).
 func PlanQuery(q algebra.Query, cat algebra.Catalog, opt Options) (engine.Plan, *Decisions, error) {
-	if _, err := algebra.OutSchema(q, cat); err != nil {
+	// Phase 1: logical rewrite. The algebraic selection pushdown runs
+	// first (and validates q against cat): its rules are bag-algebra
+	// identities, so the rewritten plan computes the same unique
+	// encoding as the query as written.
+	q, err := algebra.Optimize(q, cat)
+	if err != nil {
 		return nil, nil, err
 	}
 	obs.Default.QueriesRun.Add(1)
 	dec := &Decisions{}
-
-	// Phase 1: logical rewrite. The algebraic select pushdown runs first
-	// when enabled (legacy Options.Pushdown or the planner's knob): its
-	// rules are bag-algebra identities, so the rewritten plan computes
-	// the same unique encoding.
-	if opt.Pushdown || opt.Planner.Pushdown {
-		oq, err := algebra.Optimize(q, cat)
-		if err != nil {
-			return nil, nil, err
-		}
-		q = oq
-	}
 	rw := newRewriter(cat, opt)
 	p, err := rw.rewr(q)
 	if err != nil {
@@ -119,8 +114,7 @@ func PlanQuery(q algebra.Query, cat algebra.Catalog, opt Options) (engine.Plan, 
 	}
 
 	// Phases 3+4: statistics (lazily computed and cached on the stored
-	// tables) feed the physical pass. Gated on any knob being set so the
-	// knobs-off plan stays byte-identical to the rule-only rewriter's.
+	// tables) feed the physical pass, gated on any knob being set.
 	if opt.Planner != (PlannerKnobs{}) && rw.db != nil {
 		p = rw.applyPhysical(p, dec)
 		rw.adaptiveWorkers(p, dec)

@@ -69,11 +69,6 @@ type Options struct {
 	// snapshot-equivalent but not the unique encoding. Used only by
 	// benchmarks that want to isolate operator cost.
 	SkipFinalCoalesce bool
-	// Pushdown applies the algebraic selection-pushdown optimizer before
-	// rewriting. Because pushdown rules are bag-algebra identities and
-	// REWR is snapshot-reducible, the optimized plan computes the same
-	// unique encoding.
-	Pushdown bool
 	// Window restricts the query to the time window [Begin, End): the
 	// timeslice τ_T, applied with clip semantics (row validity intervals
 	// are intersected with the window; rows not overlapping it are
@@ -82,11 +77,11 @@ type Options struct {
 	// the plan root; with it the pushdown phase moves it toward the scans
 	// under the legality rules documented in pushdown.go.
 	Window interval.Interval
-	// Planner enables the phased cost-aware planner's knobs (pushdown,
-	// zone-map pruning, hash pre-sizing, adaptive worker count), each
-	// independently ablatable. The zero value disables every phase beyond
-	// the logical rewrite, leaving plans byte-identical to the rule-only
-	// rewriter's output. See PlannerKnobs.
+	// Planner enables the phased cost-aware planner's knobs (window
+	// pushdown, zone-map pruning, hash pre-sizing, adaptive worker
+	// count), each independently ablatable. The zero value disables
+	// every phase beyond the logical rewrite, which always includes the
+	// selection pushdown. See PlannerKnobs.
 	Planner PlannerKnobs
 	// Materialize executes the plan on the node-at-a-time materializing
 	// executor (engine.DB.Exec) instead of the default streaming iterator

@@ -389,38 +389,42 @@ func loadPeriod(pdb *period.DB[int64], edb *engine.DB, name string) {
 	pdb.AddRelation(name, t.ToPeriodRelation(pdb.Algebra()))
 }
 
-// TestPushdownEquivalence: the selection-pushdown optimizer must preserve
-// results exactly — same unique encoding — on random databases/queries.
+// TestPushdownEquivalence: the planner's selection pushdown (phase 1 of
+// every plan) must preserve results exactly — the same unique encoding
+// — on random databases/queries. The reference is the period-layer
+// evaluator, which runs each query as written, never through
+// algebra.Optimize.
 func TestPushdownEquivalence(t *testing.T) {
 	g := qgen.New(977)
 	for i := 0; i < 80; i++ {
 		spec := g.GenDB()
 		q := g.GenQuery()
-		edb := spec.ToEngineDB()
-		plain, err := rewrite.Run(edb, q, rewrite.Options{})
+		pdb := spec.ToPeriodDB()
+		wantRel, err := pdb.Eval(q)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("period eval: %v (%s)", err, q)
 		}
-		pushed, err := rewrite.Run(edb, q, rewrite.Options{Pushdown: true})
+		got, err := rewrite.Run(spec.ToEngineDB(), q, rewrite.Options{})
 		if err != nil {
-			t.Fatalf("pushdown run: %v (%s)", err, q)
+			t.Fatalf("planned run: %v (%s)", err, q)
 		}
-		a, b := plain.Clone(), pushed.Clone()
+		a, b := got.Clone(), engine.FromPeriodRelation(wantRel)
 		a.Sort()
 		b.Sort()
 		if a.Len() != b.Len() {
-			t.Fatalf("iteration %d: pushdown changed result size for %s: %d vs %d", i, q, a.Len(), b.Len())
+			t.Fatalf("iteration %d: planned result of %s has %d rows, unpushed reference %d", i, q, a.Len(), b.Len())
 		}
 		for j := range a.Rows {
 			if a.Rows[j].Key() != b.Rows[j].Key() {
-				t.Fatalf("iteration %d: pushdown changed result rows for %s", i, q)
+				t.Fatalf("iteration %d: planned result rows of %s differ from the unpushed reference", i, q)
 			}
 		}
 	}
 }
 
 // TestPushdownConstantFalseOverGlobalAgg: the soundness guard — a FALSE
-// selection above a global aggregation must NOT be pushed below it.
+// selection above a global aggregation must NOT be pushed below it (the
+// global aggregate would then emit its count-0 gap rows).
 func TestPushdownConstantFalseOverGlobalAgg(t *testing.T) {
 	db := exampleDB()
 	q := algebra.Select{
@@ -430,21 +434,24 @@ func TestPushdownConstantFalseOverGlobalAgg(t *testing.T) {
 			In:   algebra.Rel{Name: "works"},
 		},
 	}
-	plain, err := rewrite.Run(db, q, rewrite.Options{})
+	got, err := rewrite.Run(db, q, rewrite.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pushed, err := rewrite.Run(db, q, rewrite.Options{Pushdown: true})
+	pdb := period.NewDB[int64](semiring.N, dom)
+	loadPeriod(pdb, db, "works")
+	want, err := pdb.Eval(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Len() != 0 || pushed.Len() != 0 {
-		t.Fatalf("FALSE selection must empty the result: plain %d, pushed %d", plain.Len(), pushed.Len())
+	if got.Len() != 0 || want.Len() != 0 {
+		t.Fatalf("FALSE selection must empty the result: planned %d, unpushed reference %d", got.Len(), want.Len())
 	}
 }
 
 // TestPushdownReducesIntermediates: on a selective join query the
-// optimizer pushes the filter below the join.
+// planner pushes the filter below the join, and the pushed plan agrees
+// with the period-layer evaluation of the query as written.
 func TestPushdownReducesIntermediates(t *testing.T) {
 	db := exampleDB()
 	q := algebra.Select{
@@ -455,22 +462,56 @@ func TestPushdownReducesIntermediates(t *testing.T) {
 			Pred: algebra.Eq(algebra.Col("skill"), algebra.Col("r.skill")),
 		},
 	}
-	opt, err := algebra.Optimize(q, db)
+	p, err := rewrite.Rewrite(q, db, rewrite.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if algebra.CountSelectsBelowJoins(opt) != 1 {
-		t.Fatalf("selection not pushed: %s", opt)
+	if n := filtersBelowJoins(p, false); n != 1 {
+		t.Fatalf("%d filters below the join, want 1: %s", n, p)
 	}
-	plain, err := rewrite.Run(db, q, rewrite.Options{})
+	got, err := rewrite.Run(db, q, rewrite.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pushed, err := rewrite.Run(db, q, rewrite.Options{Pushdown: true})
+	pdb := period.NewDB[int64](semiring.N, dom)
+	loadPeriod(pdb, db, "works")
+	loadPeriod(pdb, db, "assign")
+	want, err := pdb.Eval(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !engine.EqualAsPeriodRelations(plain, pushed, alg) {
-		t.Fatal("pushdown changed semantics")
+	if !got.ToPeriodRelation(alg).Equal(want) {
+		t.Fatalf("pushed plan disagrees with the query as written:\n%v\nwant %v", got.ToPeriodRelation(alg), want)
+	}
+}
+
+// filtersBelowJoins counts the FilterP nodes of p that sit beneath a
+// JoinP.
+func filtersBelowJoins(p engine.Plan, below bool) int {
+	switch n := p.(type) {
+	case engine.FilterP:
+		c := filtersBelowJoins(n.In, below)
+		if below {
+			c++
+		}
+		return c
+	case engine.JoinP:
+		return filtersBelowJoins(n.L, true) + filtersBelowJoins(n.R, true)
+	case engine.ProjectP:
+		return filtersBelowJoins(n.In, below)
+	case engine.CoalesceP:
+		return filtersBelowJoins(n.In, below)
+	case engine.AggP:
+		return filtersBelowJoins(n.In, below)
+	case engine.SortP:
+		return filtersBelowJoins(n.In, below)
+	case engine.WindowP:
+		return filtersBelowJoins(n.In, below)
+	case engine.UnionP:
+		return filtersBelowJoins(n.L, below) + filtersBelowJoins(n.R, below)
+	case engine.DiffP:
+		return filtersBelowJoins(n.L, below) + filtersBelowJoins(n.R, below)
+	default:
+		return 0
 	}
 }

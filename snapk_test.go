@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	snapk "snapk"
+	"snapk/internal/workload"
 )
 
 func factoryDB(t *testing.T) *snapk.DB {
@@ -182,6 +183,57 @@ func TestDomainAccessorsAndExplain(t *testing.T) {
 	}
 	if _, err := db.Explain(`bad`); err == nil {
 		t.Error("Explain must propagate parse errors")
+	}
+}
+
+// TestExplainPushesSelectionsBelowJoins pins selection pushdown into
+// every plan of the public API: a filter written above the joins must
+// appear directly over its base-table scan, which is a join input, so
+// the filter runs beneath the joins.
+func TestExplainPushesSelectionsBelowJoins(t *testing.T) {
+	q5, _ := workload.ByID(workload.TPCH(), "Q5")
+	cases := []struct {
+		name, sql, filter string
+		tables            map[string][]string
+	}{
+		{
+			name:   "tpch-Q5",
+			sql:    q5.SQL,
+			filter: "Filter[(r_name = 'ASIA')](region)",
+			tables: map[string][]string{
+				"customer": {"c_custkey", "c_nationkey"},
+				"orders":   {"o_orderkey", "o_custkey"},
+				"lineitem": {"l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"},
+				"supplier": {"s_suppkey", "s_nationkey"},
+				"nation":   {"n_nationkey", "n_name", "n_regionkey"},
+				"region":   {"r_regionkey", "r_name"},
+			},
+		},
+		{
+			name: "emp-salary-dept",
+			sql: `SEQ VT (SELECT s.emp_no AS emp_no, s.salary AS salary, d.dept_no AS dept_no
+				FROM salaries s JOIN dept_emp d ON s.emp_no = d.emp_no WHERE s.emp_no = 42)`,
+			filter: "Filter[(emp_no = 42)](salaries)",
+			tables: map[string][]string{
+				"salaries": {"emp_no", "salary"},
+				"dept_emp": {"emp_no", "dept_no"},
+			},
+		},
+	}
+	for _, c := range cases {
+		db := snapk.New(0, 100)
+		for name, cols := range c.tables {
+			if _, err := db.CreateTable(name, cols...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		plan, err := db.Explain(c.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !strings.Contains(plan, c.filter) {
+			t.Fatalf("%s: plan lacks %s below the joins:\n%s", c.name, c.filter, plan)
+		}
 	}
 }
 
