@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"snapk/internal/harness"
+	"snapk/internal/obs"
 	"snapk/internal/rewrite"
 )
 
@@ -376,5 +377,31 @@ func TestRunCSVOut(t *testing.T) {
 	}
 	if !strings.Contains(string(data), "name") {
 		t.Fatalf("CSV output lacks header: %s", data)
+	}
+}
+
+// The process: line reports what ran: -explain plans without running, so
+// it leaves the registry unchanged, and -analyze counts its one query and
+// exactly the rows it returned.
+func TestRunProcessLineCountsExecution(t *testing.T) {
+	sql := "SEQ VT (SELECT count(*) AS cnt FROM works WHERE skill = 'SP')"
+	before := obs.Default.Snapshot()
+	var out, errb bytes.Buffer
+	if code := run([]string{"-data", "factory", "-explain", "-sql", sql}, &out, &errb); code != 0 {
+		t.Fatalf("-explain: exit %d, stderr: %s", code, errb.String())
+	}
+	if want := "process: " + before.String(); !strings.Contains(out.String(), want) {
+		t.Fatalf("-explain changed the registry; output lacks %q:\n%s", want, out.String())
+	}
+	out.Reset()
+	if code := run([]string{"-data", "factory", "-analyze", "-sql", sql}, &out, &errb); code != 0 {
+		t.Fatalf("-analyze: exit %d, stderr: %s", code, errb.String())
+	}
+	after := obs.Default.Snapshot()
+	if after.QueriesRun-before.QueriesRun != 1 || after.RowsEmitted-before.RowsEmitted != 7 {
+		t.Fatalf("-analyze of a 7-row query moved the registry from %s to %s", before, after)
+	}
+	if !strings.Contains(out.String(), "(7 rows)\nprocess: "+after.String()) {
+		t.Fatalf("-analyze output lacks the updated process line %q:\n%s", after, out.String())
 	}
 }

@@ -201,6 +201,35 @@ func Compile(e Expr, s tuple.Schema) (Compiled, error) {
 	}
 }
 
+// resolve reports the error Compile would for e against s, without
+// building the closures: the schema walk validates every expression of a
+// query this way.
+func resolve(e Expr, s tuple.Schema) error {
+	switch ex := e.(type) {
+	case ColRef:
+		if s.Index(ex.Name) < 0 {
+			return fmt.Errorf("algebra: unknown column %q in schema %v", ex.Name, s.Cols)
+		}
+		return nil
+	case Const:
+		return nil
+	case Not:
+		return resolve(ex.E, s)
+	case IsNullExpr:
+		return resolve(ex.E, s)
+	case BinOp:
+		if _, ok := binOpNames[ex.Op]; !ok {
+			return fmt.Errorf("algebra: unknown binary operator %d", ex.Op)
+		}
+		if err := resolve(ex.L, s); err != nil {
+			return err
+		}
+		return resolve(ex.R, s)
+	default:
+		return fmt.Errorf("algebra: unknown expression %T", e)
+	}
+}
+
 func compileBinOp(op BinOpKind, l, r Compiled) (Compiled, error) {
 	switch op {
 	case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:

@@ -134,87 +134,114 @@ func (c MapCatalog) RelationSchema(name string) (tuple.Schema, error) {
 // its result schema from this single implementation so all three model
 // layers agree on output shape.
 func OutSchema(q Query, cat Catalog) (tuple.Schema, error) {
+	n, err := annotate(q, cat)
+	if err != nil {
+		return tuple.Schema{}, err
+	}
+	return n.s, nil
+}
+
+// schemaNode is the output schema of one query node together with the
+// schema nodes of its inputs (in[1] is set for binary operators only).
+type schemaNode struct {
+	s  tuple.Schema
+	in [2]*schemaNode
+}
+
+// annotate derives the schema of every node of q in one bottom-up walk,
+// validating column references; Optimize reads its inputs' schemas from
+// the result instead of re-deriving them per node.
+func annotate(q Query, cat Catalog) (*schemaNode, error) {
 	switch n := q.(type) {
 	case Rel:
-		return cat.RelationSchema(n.Name)
+		s, err := cat.RelationSchema(n.Name)
+		if err != nil {
+			return nil, err
+		}
+		return &schemaNode{s: s}, nil
 	case Select:
-		s, err := OutSchema(n.In, cat)
+		in, err := annotate(n.In, cat)
 		if err != nil {
-			return tuple.Schema{}, err
+			return nil, err
 		}
-		if _, err := Compile(n.Pred, s); err != nil {
-			return tuple.Schema{}, err
+		if err := resolve(n.Pred, in.s); err != nil {
+			return nil, err
 		}
-		return s, nil
+		return &schemaNode{s: in.s, in: [2]*schemaNode{in}}, nil
 	case Project:
-		s, err := OutSchema(n.In, cat)
+		in, err := annotate(n.In, cat)
 		if err != nil {
-			return tuple.Schema{}, err
+			return nil, err
 		}
 		cols := make([]string, len(n.Exprs))
 		for i, ne := range n.Exprs {
-			if _, err := Compile(ne.E, s); err != nil {
-				return tuple.Schema{}, err
+			if err := resolve(ne.E, in.s); err != nil {
+				return nil, err
 			}
 			cols[i] = ne.Name
 		}
-		return tuple.NewSchema(cols...), nil
+		return &schemaNode{s: tuple.NewSchema(cols...), in: [2]*schemaNode{in}}, nil
 	case Join:
-		ls, err := OutSchema(n.L, cat)
+		l, r, err := annotate2(n.L, n.R, cat)
 		if err != nil {
-			return tuple.Schema{}, err
+			return nil, err
 		}
-		rs, err := OutSchema(n.R, cat)
-		if err != nil {
-			return tuple.Schema{}, err
+		out := l.s.Concat(r.s, "r.")
+		if err := resolve(n.Pred, out); err != nil {
+			return nil, err
 		}
-		out := ls.Concat(rs, "r.")
-		if _, err := Compile(n.Pred, out); err != nil {
-			return tuple.Schema{}, err
-		}
-		return out, nil
-	case Union, Diff:
-		var l, r Query
-		if u, ok := n.(Union); ok {
-			l, r = u.L, u.R
-		} else {
-			d := n.(Diff)
-			l, r = d.L, d.R
-		}
-		ls, err := OutSchema(l, cat)
-		if err != nil {
-			return tuple.Schema{}, err
-		}
-		rs, err := OutSchema(r, cat)
-		if err != nil {
-			return tuple.Schema{}, err
-		}
-		if ls.Arity() != rs.Arity() {
-			return tuple.Schema{}, fmt.Errorf("algebra: union-incompatible arities %d and %d", ls.Arity(), rs.Arity())
-		}
-		return ls, nil
+		return &schemaNode{s: out, in: [2]*schemaNode{l, r}}, nil
+	case Union:
+		return annotateSetOp(n.L, n.R, cat)
+	case Diff:
+		return annotateSetOp(n.L, n.R, cat)
 	case Agg:
-		s, err := OutSchema(n.In, cat)
+		in, err := annotate(n.In, cat)
 		if err != nil {
-			return tuple.Schema{}, err
+			return nil, err
 		}
 		cols := make([]string, 0, len(n.GroupBy)+len(n.Aggs))
 		for _, g := range n.GroupBy {
-			if s.Index(g) < 0 {
-				return tuple.Schema{}, fmt.Errorf("algebra: unknown group-by column %q", g)
+			if in.s.Index(g) < 0 {
+				return nil, fmt.Errorf("algebra: unknown group-by column %q", g)
 			}
 			cols = append(cols, g)
 		}
 		for _, a := range n.Aggs {
-			if a.Fn != krel.CountStar && s.Index(a.Arg) < 0 {
-				return tuple.Schema{}, fmt.Errorf("algebra: unknown aggregation column %q", a.Arg)
+			if a.Fn != krel.CountStar && in.s.Index(a.Arg) < 0 {
+				return nil, fmt.Errorf("algebra: unknown aggregation column %q", a.Arg)
 			}
 			cols = append(cols, a.As)
 		}
-		return tuple.NewSchema(cols...), nil
+		return &schemaNode{s: tuple.NewSchema(cols...), in: [2]*schemaNode{in}}, nil
 	default:
-		return tuple.Schema{}, fmt.Errorf("algebra: unknown query node %T", q)
+		return nil, fmt.Errorf("algebra: unknown query node %T", q)
 	}
+}
+
+func annotate2(l, r Query, cat Catalog) (*schemaNode, *schemaNode, error) {
+	ln, err := annotate(l, cat)
+	if err != nil {
+		return nil, nil, err
+	}
+	rn, err := annotate(r, cat)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ln, rn, nil
+}
+
+// annotateSetOp annotates a union or difference: the inputs must have
+// equal arity, and the output takes the left input's column names.
+func annotateSetOp(l, r Query, cat Catalog) (*schemaNode, error) {
+	ln, rn, err := annotate2(l, r, cat)
+	if err != nil {
+		return nil, err
+	}
+	if ln.s.Arity() != rn.s.Arity() {
+		return nil, fmt.Errorf("algebra: union-incompatible arities %d and %d", ln.s.Arity(), rn.s.Arity())
+	}
+	return &schemaNode{s: ln.s, in: [2]*schemaNode{ln, rn}}, nil
 }
 
 // Walk visits q and all of its descendants in pre-order.

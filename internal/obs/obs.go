@@ -1,7 +1,9 @@
 // Package obs is the process-wide observability registry: cheap,
 // always-on counters aggregated across every query the process runs —
-// queries rewritten, rows emitted through cursors, and the planner's
-// sweep-mode choices (streaming / enforced / blocking). Unlike the
+// queries executed, rows they emitted, and the sweep-mode choices of the
+// executed plans (streaming / enforced / blocking). Queries count when
+// they run (rewrite.Stream and rewrite.Run), never when they are only
+// planned, so EXPLAIN leaves the registry unchanged. Unlike the
 // per-query engine.Collector, which must be attached explicitly, the
 // registry is updated unconditionally; its counters are plain atomics
 // updated at per-query (not per-row) granularity, so the cost is
@@ -16,15 +18,16 @@ import (
 // Registry holds the process-wide counters. The zero value is ready to
 // use; most callers share Default.
 type Registry struct {
-	// QueriesRun counts snapshot queries rewritten to plans.
+	// QueriesRun counts snapshot queries executed.
 	QueriesRun atomic.Int64
-	// RowsEmitted counts rows delivered through result cursors, flushed
-	// in batches at cursor end (never one atomic per row).
+	// RowsEmitted counts rows the executed queries delivered, flushed
+	// once per query at end of stream or Close (never one atomic per
+	// row).
 	RowsEmitted atomic.Int64
-	// SweepStreaming / SweepEnforced / SweepBlocking count the planner's
-	// per-sweep-operator physical choices: streaming over naturally
-	// ordered input, streaming behind an inserted sort enforcer, and the
-	// materializing sweep.
+	// SweepStreaming / SweepEnforced / SweepBlocking count the physical
+	// form of each sweep operator in the executed plans: streaming over
+	// naturally ordered input, streaming behind an inserted sort
+	// enforcer, and the materializing sweep.
 	SweepStreaming atomic.Int64
 	SweepEnforced  atomic.Int64
 	SweepBlocking  atomic.Int64

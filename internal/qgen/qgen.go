@@ -7,6 +7,7 @@
 package qgen
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 
@@ -251,4 +252,162 @@ func (g *Gen) genPred() algebra.Expr {
 	default:
 		return algebra.Ne(algebra.Col(col), val)
 	}
+}
+
+// joinCat resolves the generated tables' schemas, so the join generator
+// can draw column references from the schemas of the joins it builds.
+var joinCat = algebra.MapCatalog{"r": twoColSchema, "s": twoColSchema}
+
+// GenJoinQuery generates a random query aimed at the planner's join
+// rules (selection pushdown, join-predicate absorption, OR-derived side
+// predicates and column pruning): join trees over bare tables, whose
+// colliding columns get "r."-prefixed names, and over renamed and
+// narrowing projections; selections above the joins mixing side-only
+// conjuncts, cross-side = and < conjuncts and OR-of-AND disjunctions
+// over the NULL-bearing columns; and aggregation, difference or union
+// over the joins. It is a separate method so the random streams of the
+// other generators stay unchanged.
+func (g *Gen) GenJoinQuery() algebra.Query {
+	switch g.R.Intn(5) {
+	case 0:
+		return algebra.Union{L: g.joinBlock(), R: g.joinBlock()}
+	case 1:
+		return algebra.Diff{L: g.joinBlock(), R: g.joinBlock()}
+	case 2:
+		return algebra.Agg{
+			GroupBy: []string{"a"},
+			Aggs:    []algebra.AggSpec{{Fn: krel.Sum, Arg: "b", As: "v"}, {Fn: krel.CountStar, As: "cnt"}},
+			In:      g.joinBlock(),
+		}
+	case 3:
+		// count(*) directly over a join reads no input column.
+		q, _ := g.filteredJoin()
+		return algebra.Agg{Aggs: []algebra.AggSpec{{Fn: krel.CountStar, As: "cnt"}}, In: q}
+	default:
+		return g.joinBlock()
+	}
+}
+
+// joinBlock is a filtered join projected to the schema (a, b).
+func (g *Gen) joinBlock() algebra.Query {
+	q, cols := g.filteredJoin()
+	b := g.col(cols)
+	if g.R.Intn(3) == 0 {
+		b = algebra.Add(b, algebra.IntC(1))
+	}
+	return algebra.Project{Exprs: []algebra.NamedExpr{{Name: "a", E: g.col(cols)}, {Name: "b", E: b}}, In: q}
+}
+
+// filteredJoin returns a join tree under a selection of one to three
+// conjuncts, and the join tree's column names.
+func (g *Gen) filteredJoin() (algebra.Query, []string) {
+	q := g.joinTree(2)
+	s, err := algebra.OutSchema(q, joinCat)
+	if err != nil {
+		panic(err)
+	}
+	conj := make([]algebra.Expr, 1+g.R.Intn(3))
+	for i := range conj {
+		switch g.R.Intn(4) {
+		case 0:
+			conj[i] = algebra.Eq(g.col(s.Cols), g.col(s.Cols))
+		case 1:
+			conj[i] = algebra.Lt(g.col(s.Cols), g.col(s.Cols))
+		case 2:
+			conj[i] = g.atom(s.Cols)
+		default:
+			ds := make([]algebra.Expr, 2+g.R.Intn(2))
+			for j := range ds {
+				ds[j] = algebra.And(g.atom(s.Cols), g.atom(s.Cols))
+			}
+			conj[i] = algebra.Or(ds...)
+		}
+	}
+	return algebra.Select{Pred: algebra.And(conj...), In: q}, s.Cols
+}
+
+// joinTree returns a left-deep join of up to depth+1 inputs, each join
+// on TRUE (a cross product) or on a cross-side = or < comparison.
+func (g *Gen) joinTree(depth int) algebra.Query {
+	if depth == 0 || g.R.Intn(4) == 0 {
+		return g.joinLeaf()
+	}
+	j := algebra.Join{L: g.joinTree(depth - 1), R: g.joinLeaf(), Pred: algebra.BoolC(true)}
+	ls, err := algebra.OutSchema(j.L, joinCat)
+	if err != nil {
+		panic(err)
+	}
+	s, err := algebra.OutSchema(j, joinCat)
+	if err != nil {
+		panic(err)
+	}
+	if hasDuplicate(s.Cols) {
+		// A third bare table would be renamed onto an existing "r." name,
+		// which no executor accepts: rename this input instead.
+		p := fmt.Sprintf("j%d.", depth)
+		j.R = algebra.Project{Exprs: []algebra.NamedExpr{
+			{Name: p + "a", E: algebra.Col("a")}, {Name: p + "b", E: algebra.Col("b")},
+		}, In: g.baseRel()}
+		if s, err = algebra.OutSchema(j, joinCat); err != nil {
+			panic(err)
+		}
+	}
+	l, r := g.col(s.Cols[:ls.Arity()]), g.col(s.Cols[ls.Arity():])
+	switch g.R.Intn(3) {
+	case 0:
+		j.Pred = algebra.Eq(l, r)
+	case 1:
+		j.Pred = algebra.Lt(l, r)
+	}
+	return j
+}
+
+// joinLeaf is a bare table (columns a, b), a renamed projection of one
+// (x.a, x.b), or a narrowing projection of one (b alone, or x.a with the
+// computed x.c).
+func (g *Gen) joinLeaf() algebra.Query {
+	base := g.baseRel()
+	p := []string{"x.", "y.", "z."}[g.R.Intn(3)]
+	switch g.R.Intn(4) {
+	case 0:
+		return base
+	case 1:
+		return algebra.Project{Exprs: []algebra.NamedExpr{
+			{Name: p + "a", E: algebra.Col("a")}, {Name: p + "b", E: algebra.Col("b")},
+		}, In: base}
+	case 2:
+		return algebra.ProjectCols(base, "b")
+	default:
+		return algebra.Project{Exprs: []algebra.NamedExpr{
+			{Name: p + "a", E: algebra.Col("a")}, {Name: p + "c", E: algebra.Add(algebra.Col("a"), algebra.Col("b"))},
+		}, In: base}
+	}
+}
+
+// atom is a comparison of a column with a small constant, or a NULL test.
+func (g *Gen) atom(cols []string) algebra.Expr {
+	c, v := g.col(cols), algebra.IntC(int64(g.R.Intn(4)))
+	switch g.R.Intn(4) {
+	case 0:
+		return algebra.Eq(c, v)
+	case 1:
+		return algebra.Le(c, v)
+	case 2:
+		return algebra.Gt(c, v)
+	default:
+		return algebra.IsNullExpr{E: c}
+	}
+}
+
+func (g *Gen) col(cols []string) algebra.Expr { return algebra.Col(cols[g.R.Intn(len(cols))]) }
+
+func hasDuplicate(cols []string) bool {
+	for i, c := range cols {
+		for _, d := range cols[:i] {
+			if c == d {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -14,6 +14,7 @@ import (
 	"snapk/internal/engine"
 	"snapk/internal/interval"
 	"snapk/internal/krel"
+	"snapk/internal/obs"
 	"snapk/internal/qgen"
 	"snapk/internal/rewrite"
 	"snapk/internal/tuple"
@@ -157,5 +158,76 @@ func TestAnalyzeEarlyCloseReapsFragments(t *testing.T) {
 			t.Fatalf("sweep %v: analyzed row count after early close = %v, want 1", sw, col.RootOp().Rows())
 		}
 		waitForGoroutines(t, base)
+	}
+}
+
+// TestRegistryCountsExecution pins when the process-wide registry
+// counts: planning alone (what EXPLAIN does) leaves every counter
+// unchanged, while each executed query adds one query, exactly the rows
+// it delivered (also when its cursor is closed early), and one sweep
+// count per sweep operator of the plan that ran.
+func TestRegistryCountsExecution(t *testing.T) {
+	db := exampleDB()
+	delta := func(before obs.Snapshot) obs.Snapshot {
+		after := obs.Default.Snapshot()
+		return obs.Snapshot{
+			QueriesRun:     after.QueriesRun - before.QueriesRun,
+			RowsEmitted:    after.RowsEmitted - before.RowsEmitted,
+			SweepStreaming: after.SweepStreaming - before.SweepStreaming,
+			SweepEnforced:  after.SweepEnforced - before.SweepEnforced,
+			SweepBlocking:  after.SweepBlocking - before.SweepBlocking,
+		}
+	}
+	blocking := rewrite.Options{Mode: rewrite.ModeOptimized, Sweep: rewrite.SweepBlocking}
+
+	before := obs.Default.Snapshot()
+	for _, opt := range []rewrite.Options{blocking, {Sweep: rewrite.SweepStreaming}, {Mode: rewrite.ModeNaive}} {
+		if _, _, err := rewrite.PlanQuery(qOnduty(), db, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := delta(before); d != (obs.Snapshot{}) {
+		t.Fatalf("planning alone changed the registry: %s", d)
+	}
+
+	// Qonduty plans one pre-aggregated split and the final coalesce.
+	before = obs.Default.Snapshot()
+	it, err := rewrite.Stream(context.Background(), db, qOnduty(), blocking)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int64(0)
+	for _, ok := it.Next(); ok; _, ok = it.Next() {
+		n++
+	}
+	if err := engine.IterErr(it); err != nil {
+		t.Fatal(err)
+	}
+	it.Close()
+	if d, want := delta(before), (obs.Snapshot{QueriesRun: 1, RowsEmitted: n, SweepBlocking: 2}); n == 0 || d != want {
+		t.Fatalf("drained stream of %d rows: registry delta %s, want %s", n, d, want)
+	}
+
+	before = obs.Default.Snapshot()
+	it, err = rewrite.Stream(context.Background(), db, qSkillreq(), rewrite.Options{Sweep: rewrite.SweepStreaming})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := it.Next(); !ok {
+		t.Fatal("empty result")
+	}
+	it.Close()
+	d := delta(before)
+	if d.QueriesRun != 1 || d.RowsEmitted != 1 || d.SweepStreaming+d.SweepEnforced != 2 || d.SweepBlocking != 0 {
+		t.Fatalf("stream closed after one row: registry delta %s, want one query, one row, two streaming sweeps", d)
+	}
+
+	before = obs.Default.Snapshot()
+	tbl, err := rewrite.Run(db, qOnduty(), rewrite.Options{Mode: rewrite.ModeOptimized, Sweep: rewrite.SweepBlocking, Materialize: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, want := delta(before), (obs.Snapshot{QueriesRun: 1, RowsEmitted: int64(tbl.Len()), SweepBlocking: 2}); d != want {
+		t.Fatalf("materialized run: registry delta %s, want %s", d, want)
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"snapk/internal/algebra"
 	"snapk/internal/engine"
-	"snapk/internal/obs"
 )
 
 // This file is the planner entry point: the phased replacement for the
@@ -91,7 +90,6 @@ func PlanQuery(q algebra.Query, cat algebra.Catalog, opt Options) (engine.Plan, 
 	if err != nil {
 		return nil, nil, err
 	}
-	obs.Default.QueriesRun.Add(1)
 	dec := &Decisions{}
 	rw := newRewriter(cat, opt)
 	p, err := rw.rewr(q)

@@ -179,19 +179,14 @@ func (rw *rewriter) beginOrdered(p engine.Plan) bool {
 func (rw *rewriter) sweepInput(p engine.Plan) (engine.Plan, bool) {
 	switch rw.opt.Sweep {
 	case SweepBlocking:
-		obs.Default.CountSweep(false, false)
 		return p, false
 	case SweepStreaming:
-		enforced := !rw.beginOrdered(p)
-		if enforced {
+		if !rw.beginOrdered(p) {
 			p = engine.SortP{In: p}
 		}
-		obs.Default.CountSweep(true, enforced)
 		return p, true
 	default: // SweepAuto: stream exactly when the order comes for free
-		stream := rw.beginOrdered(p)
-		obs.Default.CountSweep(stream, false)
-		return p, stream
+		return p, rw.beginOrdered(p)
 	}
 }
 
@@ -205,24 +200,13 @@ func (rw *rewriter) sweepInput(p engine.Plan) (engine.Plan, bool) {
 func (rw *rewriter) sweepInput2(l, r engine.Plan) (engine.Plan, engine.Plan, bool) {
 	switch rw.opt.Sweep {
 	case SweepBlocking:
-		obs.Default.CountSweep(false, false)
 		return l, r, false
 	case SweepStreaming:
-		enforced := false
-		if !rw.beginOrdered(l) {
-			l = engine.SortP{In: l}
-			enforced = true
-		}
-		if !rw.beginOrdered(r) {
-			r = engine.SortP{In: r}
-			enforced = true
-		}
-		obs.Default.CountSweep(true, enforced)
+		l, _ = rw.sweepInput(l)
+		r, _ = rw.sweepInput(r)
 		return l, r, true
 	default: // SweepAuto: stream exactly when the order comes for free
-		stream := rw.beginOrdered(l) && rw.beginOrdered(r)
-		obs.Default.CountSweep(stream, false)
-		return l, r, stream
+		return l, r, rw.beginOrdered(l) && rw.beginOrdered(r)
 	}
 }
 
@@ -328,7 +312,12 @@ func Run(db *engine.DB, q algebra.Query, opt Options) (*engine.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		return db.Exec(p)
+		countExecuted(p)
+		t, err := db.Exec(p)
+		if err == nil {
+			obs.Default.RowsEmitted.Add(int64(t.Len()))
+		}
+		return t, err
 	}
 	it, err := Stream(context.Background(), db, q, opt)
 	if err != nil {
@@ -381,7 +370,108 @@ func Stream(ctx context.Context, db *engine.DB, q algebra.Query, opt Options) (e
 	if err != nil {
 		return nil, err
 	}
-	return engine.CheckErrChecked("rewrite stream root", it), nil
+	countExecuted(p)
+	return engine.CheckErrChecked("rewrite stream root", countRows(it)), nil
+}
+
+// countExecuted records a plan that is about to run in the process-wide
+// registry: one query, and the physical form of each of its sweep
+// operators. Counting here rather than while planning keeps EXPLAIN,
+// which plans without running, out of the counters.
+func countExecuted(p engine.Plan) {
+	obs.Default.QueriesRun.Add(1)
+	countSweeps(p)
+}
+
+func countSweeps(p engine.Plan) {
+	enforced := func(in engine.Plan) bool { _, ok := in.(engine.SortP); return ok }
+	switch n := p.(type) {
+	case engine.FilterP:
+		countSweeps(n.In)
+	case engine.ProjectP:
+		countSweeps(n.In)
+	case engine.JoinP:
+		countSweeps(n.L)
+		countSweeps(n.R)
+	case engine.UnionP:
+		countSweeps(n.L)
+		countSweeps(n.R)
+	case engine.DiffP:
+		obs.Default.CountSweep(n.Streaming, enforced(n.L) || enforced(n.R))
+		countSweeps(n.L)
+		countSweeps(n.R)
+	case engine.AggP:
+		// Only the pre-aggregated split is a sweep with a physical choice.
+		if n.PreAgg {
+			obs.Default.CountSweep(n.Streaming, enforced(n.In))
+		}
+		countSweeps(n.In)
+	case engine.CoalesceP:
+		obs.Default.CountSweep(n.Streaming, enforced(n.In))
+		countSweeps(n.In)
+	case engine.SortP:
+		countSweeps(n.In)
+	case engine.WindowP:
+		countSweeps(n.In)
+	}
+}
+
+// rowCounter counts the rows a query's root iterator delivers and adds
+// them to the process-wide registry once, at end of stream or Close: a
+// local increment per row (or per batch), never a per-row atomic.
+type rowCounter struct {
+	engine.RowIter
+	n       int64
+	flushed bool
+}
+
+// batchRowCounter is rowCounter over a batch-capable root, keeping the
+// batch protocol visible to the consumer.
+type batchRowCounter struct {
+	*rowCounter
+	bin engine.BatchIter
+}
+
+func countRows(it engine.RowIter) engine.RowIter {
+	c := &rowCounter{RowIter: it}
+	if bin, ok := it.(engine.BatchIter); ok {
+		return batchRowCounter{rowCounter: c, bin: bin}
+	}
+	return c
+}
+
+func (c *rowCounter) Next() (tuple.Tuple, bool) {
+	row, ok := c.RowIter.Next()
+	if ok {
+		c.n++
+	} else {
+		c.flush()
+	}
+	return row, ok
+}
+
+func (c *rowCounter) Err() error { return engine.IterErr(c.RowIter) }
+
+func (c *rowCounter) Close() {
+	c.flush()
+	c.RowIter.Close()
+}
+
+func (c *rowCounter) flush() {
+	if !c.flushed {
+		c.flushed = true
+		obs.Default.RowsEmitted.Add(c.n)
+	}
+}
+
+func (c batchRowCounter) NextBatch(b *engine.RowBatch) bool {
+	ok := c.bin.NextBatch(b)
+	if ok {
+		c.n += int64(b.Len())
+	} else {
+		c.flush()
+	}
+	return ok
 }
 
 // OutSchema returns the data schema of the result of q on db, mirroring

@@ -341,7 +341,7 @@ func (s Schema) Equal(other Schema) bool {
 func (s Schema) Concat(other Schema, rightPrefix string) Schema {
 	cols := make([]string, 0, len(s.Cols)+len(other.Cols))
 	cols = append(cols, s.Cols...)
-	seen := make(map[string]struct{}, len(cols))
+	seen := make(map[string]struct{}, cap(cols))
 	for _, c := range cols {
 		seen[c] = struct{}{}
 	}

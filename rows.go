@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"snapk/internal/engine"
-	"snapk/internal/obs"
 	"snapk/internal/rewrite"
 	"snapk/internal/sqlfe"
 	"snapk/internal/tuple"
@@ -29,11 +28,6 @@ type Rows struct {
 	err    error
 	closed bool
 	done   bool
-	// emitted counts rows delivered through this cursor, flushed to the
-	// process-wide registry once at end of stream / Close — a local
-	// increment per row, never a per-row atomic on the cursor hot path.
-	emitted int64
-	flushed bool
 	// Batch drain: when the pipeline root is batch-capable, the cursor
 	// pulls engine.DefaultBatchSize rows per NextBatch call and hands
 	// them out one at a time, so the whole operator chain pays one
@@ -92,7 +86,6 @@ func (r *Rows) Next() bool {
 	if !ok {
 		r.done = true
 		r.cur = nil
-		r.flushEmitted()
 		// The pipeline carries its own terminal error (the error-carrying
 		// iterator protocol): cancellation, a tripped resource limit, a
 		// failed operator or a contained panic all surface here, while a
@@ -103,7 +96,6 @@ func (r *Rows) Next() bool {
 	}
 	//lint:ignore rowretain the cursor row is exposed read-only via Scan/Values and replaced on the next Next
 	r.cur = row
-	r.emitted++
 	return true
 }
 
@@ -123,18 +115,6 @@ func (r *Rows) next() (tuple.Tuple, bool) {
 	row := r.b.Rows[r.bi]
 	r.bi++
 	return row, true
-}
-
-// flushEmitted adds the cursor's row count to the process-wide registry
-// exactly once, at end of stream or Close (whichever comes first).
-func (r *Rows) flushEmitted() {
-	if r.flushed {
-		return
-	}
-	r.flushed = true
-	if r.emitted > 0 {
-		obs.Default.RowsEmitted.Add(r.emitted)
-	}
 }
 
 // Err returns the error that ended iteration early — context
@@ -246,7 +226,6 @@ func (r *Rows) Close() error {
 	}
 	r.closed = true
 	r.cur = nil
-	r.flushEmitted()
 	r.it.Close()
 	return nil
 }

@@ -1,6 +1,7 @@
 package snapk_test
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 
@@ -233,6 +234,97 @@ func TestExplainPushesSelectionsBelowJoins(t *testing.T) {
 		}
 		if !strings.Contains(plan, c.filter) {
 			t.Fatalf("%s: plan lacks %s below the joins:\n%s", c.name, c.filter, plan)
+		}
+	}
+}
+
+// TestExplainJoinRules pins the plan shapes of phase 1's join rules in
+// the public API's plans: column pruning, absorption of cross-side
+// conjuncts into join predicates and OR-derived side predicates — and
+// the two limits of pruning, full-width difference inputs and unchanged
+// "r."-prefixed names.
+func TestExplainJoinRules(t *testing.T) {
+	db := snapk.New(0, 100)
+	for name, cols := range map[string][]string{
+		"customer": {"c_custkey", "c_nationkey"},
+		"orders":   {"o_orderkey", "o_custkey", "o_orderpriority"},
+		"lineitem": {"l_orderkey", "l_partkey", "l_suppkey", "l_quantity", "l_extendedprice",
+			"l_discount", "l_tax", "l_returnflag", "l_linestatus", "l_shipmode", "l_shipinstruct"},
+		"supplier":  {"s_suppkey", "s_nationkey"},
+		"nation":    {"n_nationkey", "n_name", "n_regionkey"},
+		"region":    {"r_regionkey", "r_name"},
+		"employees": {"emp_no", "name"},
+		"titles":    {"emp_no", "title"},
+		"salaries":  {"emp_no", "salary"},
+		"dept_emp":  {"emp_no", "dept_no"},
+	} {
+		if _, err := db.CreateTable(name, cols...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	explain := func(sql string) string {
+		t.Helper()
+		plan, err := db.Explain(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan
+	}
+	q5, _ := workload.ByID(workload.TPCH(), "Q5")
+	q7, _ := workload.ByID(workload.TPCH(), "Q7")
+	aggJoin, _ := workload.ByID(workload.Employees(), "agg-join")
+
+	// Q7 reads four lineitem columns, and its OR over both nations puts
+	// a derived filter on each nation scan.
+	plan := explain(q7.SQL)
+	if want := "Project[l_orderkey→l.l_orderkey,l_suppkey→l.l_suppkey,l_extendedprice→l.l_extendedprice,l_discount→l.l_discount](lineitem)"; !strings.Contains(plan, want) {
+		t.Fatalf("Q7: lineitem not narrowed to %s:\n%s", want, plan)
+	}
+	filtered := regexp.MustCompile(`Filter\[[^\]]*n_name = 'FRANCE'[^\]]*\]\(nation\)`)
+	if n := len(filtered.FindAllString(plan, -1)); n != 2 || strings.Count(plan, "(nation)") != 2 {
+		t.Fatalf("Q7: %d of %d nation scans under a derived filter, want both of 2:\n%s", n, strings.Count(plan, "(nation)"), plan)
+	}
+
+	// Q5's cross-side c_nationkey = s_nationkey joins the supplier join's
+	// hash key instead of filtering its output.
+	plan = explain(q5.SQL)
+	if want := "TJoin[((l.l_suppkey = s.s_suppkey) AND (c.c_nationkey = s.s_nationkey))]"; !strings.Contains(plan, want) || strings.Contains(plan, "Filter[(c.c_nationkey") {
+		t.Fatalf("Q5: supplier join is not %s with no filter above it:\n%s", want, plan)
+	}
+
+	// agg-join's s.salary = mx.max_salary likewise.
+	plan = explain(aggJoin.SQL)
+	if !regexp.MustCompile(`TJoin\[[^\]]*\(s\.salary = mx\.max_salary\)`).MatchString(plan) || strings.Contains(plan, "Filter[(s.salary") {
+		t.Fatalf("agg-join: s.salary = mx.max_salary is not a join predicate:\n%s", plan)
+	}
+
+	// Only x.emp_no is read above the difference, but its inputs keep
+	// both columns: EXCEPT ALL matches rows on every column.
+	plan = explain(`SEQ VT (SELECT x.emp_no AS emp_no FROM (
+		SELECT e.emp_no AS emp_no, e.name AS name FROM employees e
+		EXCEPT ALL SELECT t.emp_no AS emp_no, t.title AS name FROM titles t) AS x)`)
+	for _, want := range []string{
+		"Project[emp_no→x.emp_no](",
+		"Project[e.emp_no→emp_no,e.name→name](Project[emp_no→e.emp_no,name→e.name](employees))",
+		"Project[t.emp_no→emp_no,t.title→name](Project[emp_no→t.emp_no,title→t.title](titles))",
+	} {
+		if !strings.Contains(plan, want) {
+			t.Fatalf("difference: plan lacks %s:\n%s", want, plan)
+		}
+	}
+
+	// Both sides are aliased x, so the right side's x.emp_no is r.x.emp_no
+	// in the join output. The left's x.emp_no is read by nobody, but it
+	// stays so that r.x.emp_no keeps its name; the unread x.s2 goes.
+	plan = explain(`SEQ VT (SELECT x.dept_no AS d
+		FROM (SELECT emp_no, salary, salary + 1 AS s2 FROM salaries) AS x
+		JOIN (SELECT emp_no, dept_no FROM dept_emp) AS x ON x.salary = r.x.emp_no)`)
+	for _, want := range []string{
+		"TJoin[(x.salary = r.x.emp_no)](Project[emp_no→x.emp_no,salary→x.salary](",
+		"Project[emp_no→emp_no,salary→salary](salaries)",
+	} {
+		if !strings.Contains(plan, want) {
+			t.Fatalf("colliding join: plan lacks %s:\n%s", want, plan)
 		}
 	}
 }
