@@ -106,8 +106,9 @@ func BenchmarkTable3TPCBiH(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCoalescePlacement regenerates ablation E7 (§9): a
-// single final coalesce (justified by Lemma 6.1) vs coalescing after
+// BenchmarkAblationCoalescePlacement regenerates ablation E7 (§9): at
+// most one final coalesce (justified by Lemma 6.1; agg-1 and diff-2 need
+// none, since their sweeps emit the unique encoding) vs coalescing after
 // every operator.
 func BenchmarkAblationCoalescePlacement(b *testing.B) {
 	db := dataset.Employees(benchEmployees)

@@ -157,8 +157,12 @@ func TestRunExplainPrintsPlan(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
-	if !strings.Contains(out.String(), "Coalesce") || !strings.Contains(out.String(), "TAgg") {
+	if !strings.Contains(out.String(), "TAgg") || !strings.Contains(out.String(), "Agg [group_by=[] pre-agg]") {
 		t.Fatalf("explain output lacks plan operators:\n%s", out.String())
+	}
+	// The aggregation emits the unique encoding, so no coalesce runs.
+	if strings.Contains(out.String(), "Coalesce") {
+		t.Fatalf("explain output has a coalesce above the aggregation:\n%s", out.String())
 	}
 	// The annotated tree: sweep modes, sequential placement, registry.
 	for _, want := range []string{"sweep=", "{sequential", "process: queries="} {
@@ -303,7 +307,7 @@ func TestRunAnalyzeWithTrace(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
-	for _, want := range []string{"EXPLAIN ANALYZE", "Coalesce", "rows=", "(7 rows)", "process: queries=1"} {
+	for _, want := range []string{"EXPLAIN ANALYZE", "Agg [streaming]", "rows=", "(7 rows)", "process: queries=1"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("analyze output lacks %q:\n%s", want, out.String())
 		}

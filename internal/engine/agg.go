@@ -79,7 +79,8 @@ func prepareAggregate(data tuple.Schema, groupBy []string, aggs []algebra.AggSpe
 }
 
 // aggregateSweep is the pre-aggregated implementation: one endpoint sweep
-// per group with incremental accumulators.
+// per group with incremental accumulators. Adjacent segments with
+// key-equal results merge, so the output is the unique encoding.
 func aggregateSweep(in *Table, out *Table, groupIdx []int, aggs []algebra.AggSpec, argIdx []int, dom interval.Domain) {
 	// A sweep event is pointer-free, so sorting moves 16 bytes and the
 	// collector never scans it: seq is 2·(the row's index in its group)
@@ -128,6 +129,7 @@ func aggregateSweep(in *Table, out *Table, groupIdx []int, aggs []algebra.AggSpe
 			sweepers[i] = newAggSweeper(a.Fn)
 		}
 		var alive int64
+		var prev tuple.Tuple // the group's last row, which aggRow may still extend: out is private until returned
 		emit := func(seg interval.Interval) {
 			if !seg.Valid() {
 				return
@@ -135,14 +137,10 @@ func aggregateSweep(in *Table, out *Table, groupIdx []int, aggs []algebra.AggSpe
 			if alive == 0 && !global {
 				return
 			}
-			// One exact-capacity allocation per output row.
-			row := make(tuple.Tuple, 0, len(g.group)+len(sweepers)+2)
-			row = append(row, g.group...)
-			for _, sw := range sweepers {
-				row = append(row, sw.result())
+			if row := aggRow(prev, g.group, sweepers, seg); row != nil {
+				out.Rows = append(out.Rows, row)
+				prev = row
 			}
-			row = append(row, tuple.Int(seg.Begin), tuple.Int(seg.End))
-			out.Rows = append(out.Rows, row)
 		}
 		segStart := dom.Min
 		i := 0
@@ -176,6 +174,37 @@ func aggregateSweep(in *Table, out *Table, groupIdx []int, aggs []algebra.AggSpe
 			emit(interval.Interval{Begin: segStart, End: dom.Max})
 		}
 	}
+}
+
+// aggRow returns the result row of the elementary segment seg of one
+// aggregation group: the group columns, the current value of every
+// aggregate, then the period. When prev, the group's previous row, ends
+// where seg begins and every aggregate value is key-equal to prev's, it
+// extends prev to seg's end instead and returns nil. Segments of one
+// group never overlap and every group has distinct group columns, so
+// this merge is all it takes for the sweep's output to be the unique
+// coalesced encoding.
+func aggRow(prev, group tuple.Tuple, sweepers []*aggSweeper, seg interval.Interval) tuple.Tuple {
+	if n := len(prev); n > 0 && prev[n-1].AsInt() == seg.Begin {
+		same := true
+		for j, sw := range sweepers {
+			if !tuple.KeyEqual(prev[len(group)+j], sw.result()) {
+				same = false
+				break
+			}
+		}
+		if same {
+			prev[n-1] = tuple.Int(seg.End)
+			return nil
+		}
+	}
+	// One exact-capacity allocation per output row.
+	row := make(tuple.Tuple, 0, len(group)+len(sweepers)+2)
+	row = append(row, group...)
+	for _, sw := range sweepers {
+		row = append(row, sw.result())
+	}
+	return append(row, tuple.Int(seg.Begin), tuple.Int(seg.End))
 }
 
 // aggregateNaive materializes the split (Def 8.3) and hash-aggregates.

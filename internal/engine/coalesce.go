@@ -91,7 +91,7 @@ func Coalesce(in *Table, impl CoalesceImpl) *Table {
 				continue // no annotation change at t: keep the segment open
 			}
 			if cur > 0 {
-				emitRows(out, g.data, interval.New(segStart, t), cur)
+				out.Rows = appendSegment(out.Rows, g.data, interval.New(segStart, t), cur)
 			}
 			cur += delta
 			segStart = t
@@ -103,17 +103,26 @@ func Coalesce(in *Table, impl CoalesceImpl) *Table {
 	return out
 }
 
-func emitRows(out *Table, data tuple.Tuple, iv interval.Interval, mult int64) {
-	row := make(tuple.Tuple, 0, len(data)+2)
-	row = append(row, data...)
-	row = append(row, tuple.Int(iv.Begin), tuple.Int(iv.End))
-	// Each duplicate gets its own backing slice: emitted siblings must
-	// not alias, or an in-place mutation of one output row silently
-	// corrupts the others.
-	out.Rows = append(out.Rows, row)
-	for i := int64(1); i < mult; i++ {
-		out.Rows = append(out.Rows, row.Clone())
+// appendSegment appends mult rows of data over iv to rows: the one
+// duplicate-emission step behind every sweep that emits a multiplicity
+// (both coalesce forms and both difference forms). The copies share a
+// single slab allocated per (segment, multiplicity), each a
+// capacity-capped sub-slice of it, so emitted siblings never alias: an
+// append to one reallocates it, and an in-place write to one never
+// shows in another.
+func appendSegment(rows []tuple.Tuple, data tuple.Tuple, iv interval.Interval, mult int64) []tuple.Tuple {
+	w := len(data) + 2
+	slab := make([]tuple.Value, int(mult)*w)
+	first := tuple.Tuple(slab[:w:w])
+	copy(first, data)
+	first[w-2], first[w-1] = tuple.Int(iv.Begin), tuple.Int(iv.End)
+	rows = append(rows, first)
+	for off := w; off < len(slab); off += w {
+		row := tuple.Tuple(slab[off : off+w : off+w])
+		copy(row, first)
+		rows = append(rows, row)
 	}
+	return rows
 }
 
 // IsCoalesced reports whether the table already is its own coalesced

@@ -294,9 +294,9 @@ func (it *ctxBatchIter) NextBatch(b *RowBatch) bool {
 // its peak state: the same open-interval/active-group count the
 // observability layer reports as max_state, priced at unitBytes per
 // unit. The charge is polled amortized — once per NextBatch, once per
-// ctxCheckEvery rows under per-row drive — and released on Close. When
-// in does not expose StateSizer (or gov is nil) the input is returned
-// unchanged.
+// ctxCheckEvery rows under per-row drive, and once at end of stream —
+// and released on Close. When in does not expose StateSizer (or gov is
+// nil) the input is returned unchanged.
 func GovernState(in RowIter, gov *Governor, unitBytes int64) RowIter {
 	sz, ok := in.(StateSizer)
 	if !ok || gov == nil {
@@ -349,7 +349,20 @@ func (it *govStateIter) Next() (tuple.Tuple, bool) {
 			return nil, false
 		}
 	}
-	return it.in.Next()
+	row, ok := it.in.Next()
+	if !ok {
+		it.chargeAtEnd()
+	}
+	return row, ok
+}
+
+// chargeAtEnd charges the final peak state when the stream ends: a sweep
+// whose whole output falls between two polls must not finish over its
+// budget as a clean, complete result.
+func (it *govStateIter) chargeAtEnd() {
+	if err := it.charge(); err != nil && it.err == nil {
+		it.err = err
+	}
 }
 
 func (it *govStateIter) Close() {
@@ -377,5 +390,9 @@ func (it *govStateBatchIter) NextBatch(b *RowBatch) bool {
 		b.Reset()
 		return false
 	}
-	return it.bin.NextBatch(b)
+	if !it.bin.NextBatch(b) {
+		it.chargeAtEnd()
+		return false
+	}
+	return true
 }

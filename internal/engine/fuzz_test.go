@@ -131,8 +131,9 @@ func monusTimePointCounts(l, r *engine.Table) map[string]int {
 // FuzzStreamDiff differences the streaming merge-based temporal
 // difference against the blocking TemporalDiff oracle on arbitrary
 // interval-multiset pairs — the multisets must be identical row for
-// row, including the segment boundaries at zero-net-delta endpoints —
-// and checks both against the naive per-time-point monus oracle. The
+// row, both the unique encoding with no boundary at a zero-net-delta
+// endpoint — and checks both against the naive per-time-point monus
+// oracle. The
 // seeds cover merge-order stress (same-instant begins on both sides)
 // and monus truncation (right side exceeding the left).
 func FuzzStreamDiff(f *testing.F) {

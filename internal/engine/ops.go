@@ -180,8 +180,10 @@ func Split(r1, r2 *Table, groupIdx []int) *Table {
 // TemporalDiff implements snapshot-reducible EXCEPT ALL: the REWR pattern
 // N_SCH(Q1)(R1,R2) − N_SCH(Q2)(R2,R1) (Fig 4), fused into one endpoint
 // sweep per value-equivalent row group with pre-aggregated counts (the §9
-// optimization applied to difference). For every elementary segment the
-// output multiplicity is max(0, |left| − |right|) — the ℕ monus.
+// optimization applied to difference). At every time point the output
+// multiplicity is max(0, |left| − |right|) — the ℕ monus — and a segment
+// stays open while that multiplicity is unchanged, so the output is the
+// unique coalesced encoding with no coalesce above it.
 func TemporalDiff(l, r *Table) (*Table, error) {
 	if l.Schema.Arity() != r.Schema.Arity() {
 		return nil, fmt.Errorf("engine: difference-incompatible arities %d and %d", l.Schema.Arity(), r.Schema.Arity())
@@ -222,27 +224,18 @@ func TemporalDiff(l, r *Table) (*Table, error) {
 			times = append(times, t)
 		}
 		times = interval.DedupTimes(times)
-		var cur int64
-		segStart := interval.Time(0)
-		emitting := int64(0)
+		var cur, emitting int64
+		var segStart interval.Time
 		for _, t := range times {
-			if emitting > 0 && t > segStart {
-				seg := interval.New(segStart, t)
-				nr := g.data.Clone()
-				nr = append(nr, tuple.Int(seg.Begin), tuple.Int(seg.End))
-				// Each duplicate gets its own backing slice: emitted
-				// siblings must not alias, or an in-place mutation of one
-				// output row silently corrupts the others.
-				out.Rows = append(out.Rows, nr)
-				for i := int64(1); i < emitting; i++ {
-					out.Rows = append(out.Rows, nr.Clone())
-				}
-			}
 			cur += g.deltas[t]
-			emitting = cur
-			if emitting < 0 {
-				emitting = 0 // ℕ monus truncates
+			next := max(cur, 0) // ℕ monus truncates
+			if next == emitting {
+				continue // multiplicity unchanged at t: keep the segment open
 			}
+			if emitting > 0 {
+				out.Rows = appendSegment(out.Rows, g.data, interval.New(segStart, t), emitting)
+			}
+			emitting = next
 			segStart = t
 		}
 	}

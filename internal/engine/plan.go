@@ -245,6 +245,107 @@ func BeginOrderedWith(p Plan, scanSorted func(string) bool) bool {
 	}
 }
 
+// Coalesced reports whether the output of p is guaranteed to be the
+// unique coalesced encoding, so that a coalesce above it would be the
+// identity. The pre-aggregated split and the difference emit the unique
+// encoding in both their forms. Over a coalesced input it stays
+// coalesced through
+//
+//   - a Filter whose predicate reads no period attribute: it keeps or
+//     drops whole value-equivalent groups;
+//   - a Window: clipping only shrinks or drops a group's disjoint,
+//     non-adjacent segments;
+//   - a Sort: the identity on multisets;
+//   - a Project whose expressions read no period attribute and include
+//     a bare reference to every input column: it is injective, so no
+//     two input groups merge into one output group.
+//
+// Everything else — unions, joins, the naive split, scans, and filters
+// or projections reading _begin/_end — makes no guarantee.
+func Coalesced(p Plan) bool {
+	switch n := p.(type) {
+	case AggP:
+		return n.PreAgg
+	case DiffP:
+		return true
+	case FilterP:
+		return DataOnly(n.Pred) && Coalesced(n.In)
+	case WindowP:
+		return Coalesced(n.In)
+	case SortP:
+		return Coalesced(n.In)
+	case ProjectP:
+		return injective(n) && Coalesced(n.In)
+	default:
+		return false
+	}
+}
+
+// DataOnly reports whether e reads no period attribute (_begin/_end).
+// Unknown expression forms report false: an expression the analysis
+// cannot see through is treated as reading them.
+func DataOnly(e algebra.Expr) bool {
+	return algebra.ColsSatisfy(e, func(c string) bool { return c != BeginCol && c != EndCol })
+}
+
+// injective reports whether every expression of p reads only data
+// columns and bare column references cover every column of p's input.
+// Input columns the plan cannot name without a catalog (those of a
+// scan) count as uncovered.
+func injective(p ProjectP) bool {
+	cols, ok := outCols(p.In)
+	if !ok {
+		return false
+	}
+	covered := make(map[string]bool, len(p.Exprs))
+	for _, ne := range p.Exprs {
+		if !DataOnly(ne.E) {
+			return false
+		}
+		if c, ok := ne.E.(algebra.ColRef); ok {
+			covered[c.Name] = true
+		}
+	}
+	for _, c := range cols {
+		if !covered[c] {
+			return false
+		}
+	}
+	return true
+}
+
+// outCols returns the data column names of p's output when the plan
+// alone determines them: an aggregation or projection names its own
+// outputs, and a difference, filter, window or sort passes its (left)
+// input's through. Other operators report false, which only makes
+// Coalesced more conservative.
+func outCols(p Plan) ([]string, bool) {
+	switch n := p.(type) {
+	case AggP:
+		cols := append([]string{}, n.GroupBy...)
+		for _, a := range n.Aggs {
+			cols = append(cols, a.As)
+		}
+		return cols, true
+	case ProjectP:
+		cols := make([]string, len(n.Exprs))
+		for i, ne := range n.Exprs {
+			cols[i] = ne.Name
+		}
+		return cols, true
+	case DiffP:
+		return outCols(n.L)
+	case FilterP:
+		return outCols(n.In)
+	case WindowP:
+		return outCols(n.In)
+	case SortP:
+		return outCols(n.In)
+	default:
+		return nil, false
+	}
+}
+
 // DB is an in-memory temporal database: named period relations plus a
 // plan executor. It stands in for the backend DBMS of the paper's
 // middleware architecture.

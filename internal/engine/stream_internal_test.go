@@ -102,6 +102,28 @@ func TestCoalesceEmittedRowsDoNotAlias(t *testing.T) {
 	}
 }
 
+// appendSegment hands its duplicates out of one slab, each capped at its
+// own length: appending to one row must reallocate it rather than write
+// over the next sibling, and a write to one must not show in another.
+func TestAppendSegmentRowsAreIndependent(t *testing.T) {
+	rows := appendSegment(nil, tuple.Tuple{str("Ann")}, interval.New(2, 5), 3)
+	if len(rows) != 3 {
+		t.Fatalf("appendSegment emitted %d rows, want 3", len(rows))
+	}
+	for _, row := range rows {
+		if len(row) != 3 || cap(row) != 3 || row[0].AsString() != "Ann" || row[1].AsInt() != 2 || row[2].AsInt() != 5 {
+			t.Fatalf("row = %v (cap %d), want (Ann, 2, 5) with capacity 3", row, cap(row))
+		}
+	}
+	grown := append(rows[0], str("extra"))
+	grown[0] = str("MUTATED")
+	rows[1][1] = tuple.Int(99)
+	if rows[0][0].AsString() != "Ann" || rows[1][0].AsString() != "Ann" || rows[2][0].AsString() != "Ann" ||
+		rows[0][1].AsInt() != 2 || rows[2][1].AsInt() != 2 {
+		t.Fatalf("a write through one duplicate reached a sibling: %v", rows)
+	}
+}
+
 func TestDiffEmittedRowsDoNotAlias(t *testing.T) {
 	l := NewTable(tuple.NewSchema("name"))
 	r := NewTable(tuple.NewSchema("name"))

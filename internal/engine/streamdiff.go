@@ -26,112 +26,12 @@ import (
 // children when the order is not guaranteed); violations panic so a
 // planner bug is loud instead of silently wrong.
 
-// diffGroup is the per-value-equivalent-group sweep state of the
-// streaming difference: the pending interval ends not yet passed by the
-// sweep (each carrying the signed multiplicity delta to apply), the
-// committed left-minus-right count through the last committed event,
-// and the uncommitted delta accumulated at curT. Unlike coalescing,
-// difference splits its output at EVERY endpoint of the group — even
-// when the net delta at that instant is zero — because the blocking
-// TemporalDiff emits one row per elementary segment and the streaming
-// form must produce the identical multiset; curEvent records that an
-// endpoint occurred at curT so the commit splits there regardless of
-// the delta.
-type diffGroup struct {
-	key      string
-	data     tuple.Tuple
-	ends     minHeap[int64] // pending end events; payload = signed delta to apply
-	count    int64          // committed left − right multiplicity through segStart
-	segStart interval.Time
-	curT     interval.Time
-	curDelta int64
-	curEvent bool
-	seq      int // first-seen order, for a deterministic end-of-input flush
-	// reg/regT: the group's single live registration in the iterator's
-	// expiry heap (the global-sweep eviction machinery).
-	reg  bool
-	regT interval.Time
-}
-
-// nextTime reports when the group next needs the sweep's attention;
-// ok=false means fully closed and committed: evictable. Every begin
-// delta has a matching end delta in the ends heap, so a group with no
-// pending end, no uncommitted event and a zero count can never emit
-// again.
-func (g *diffGroup) nextTime() (interval.Time, bool) {
-	if g.ends.len() > 0 {
-		return g.ends.min(), true
-	}
-	if g.curEvent || g.curDelta != 0 || g.count != 0 {
-		return g.curT, true // pending uncommitted event with no open end left
-	}
-	return 0, false
-}
-
-// commit applies the pending event at curT: it closes the segment
-// [segStart, curT) — emitting it with the ℕ-monus multiplicity
-// max(0, count) — and folds the accumulated delta into the count. A
-// zero-delta event still moves segStart: difference output segments
-// break at every endpoint of the group, exactly as in TemporalDiff.
-func (g *diffGroup) commit(emit func(data tuple.Tuple, iv interval.Interval, mult int64)) {
-	if !g.curEvent {
-		return
-	}
-	if g.count > 0 && g.curT > g.segStart {
-		emit(g.data, interval.New(g.segStart, g.curT), g.count)
-	}
-	g.count += g.curDelta
-	g.curDelta = 0
-	g.curEvent = false
-	g.segStart = g.curT
-}
-
-// advance moves the group's sweep position to t, committing every
-// pending end event strictly before it and folding ends at t into the
-// uncommitted delta (a same-instant begin may still arrive and belongs
-// to the same event).
-func (g *diffGroup) advance(t interval.Time, emit func(tuple.Tuple, interval.Interval, int64)) {
-	for g.ends.len() > 0 && g.ends.min() <= t {
-		et := g.ends.min()
-		if et > g.curT {
-			g.commit(emit)
-			g.curT = et
-		}
-		for g.ends.len() > 0 && g.ends.min() == et {
-			g.curDelta += g.ends.pop().v
-			g.curEvent = true
-		}
-	}
-	if t > g.curT {
-		g.commit(emit)
-		g.curT = t
-	}
-}
-
-// flush drains every remaining pending end at end of input — with no
-// time bound, so arbitrarily late interval ends still split and emit —
-// and commits the final segment.
-func (g *diffGroup) flush(emit func(tuple.Tuple, interval.Interval, int64)) {
-	for g.ends.len() > 0 {
-		et := g.ends.min()
-		if et > g.curT {
-			g.commit(emit)
-			g.curT = et
-		}
-		for g.ends.len() > 0 && g.ends.min() == et {
-			g.curDelta += g.ends.pop().v
-			g.curEvent = true
-		}
-	}
-	g.commit(emit)
-}
-
 // streamDiffIter is the streaming ℕ-monus difference over two
 // begin-sorted inputs. It merges the two streams by ascending interval
 // begin (+1 events from the left input, −1 from the right), sweeps each
-// value-equivalent group's endpoints in time order, and emits every
-// elementary segment with multiplicity max(0, |left| − |right|) — the
-// same multiset the blocking TemporalDiff produces, without
+// value-equivalent group's endpoints in time order, and emits maximal
+// segments of constant multiplicity max(0, |left| − |right|) — the
+// unique encoding the blocking TemporalDiff produces, without
 // materializing either input. The expiry heap wakes each group when the
 // merged sweep position passes its next event; fully closed groups are
 // evicted from the state map.
@@ -139,8 +39,8 @@ type streamDiffIter struct {
 	l, r       RowIter
 	lcur, rcur batchCursor
 	n          int // data arity
-	groups     map[string]*diffGroup
-	expiry     minHeap[*diffGroup] // group wake-ups keyed by next event time
+	groups     map[string]*sweepGroup
+	expiry     minHeap[*sweepGroup] // group wake-ups keyed by next event time
 	nextSeq    int
 	queue      []tuple.Tuple
 	qi         int
@@ -181,7 +81,7 @@ func NewStreamDiffIter(l, r RowIter) (RowIter, error) {
 		lcur:   batchCursor{in: l},
 		rcur:   batchCursor{in: r},
 		n:      l.Schema().Arity() - 2,
-		groups: make(map[string]*diffGroup),
+		groups: make(map[string]*sweepGroup),
 	}, nil
 }
 
@@ -190,7 +90,7 @@ func (it *streamDiffIter) Schema() tuple.Schema { return it.l.Schema() }
 // track (re-)registers g in the expiry heap at its next event time, or
 // evicts it when fully closed. Each group holds at most one live
 // registration, so the heap stays O(active groups).
-func (it *streamDiffIter) track(g *diffGroup) {
+func (it *streamDiffIter) track(g *sweepGroup) {
 	t, ok := g.nextTime()
 	if !ok {
 		delete(it.groups, g.key)
@@ -216,16 +116,9 @@ func (it *streamDiffIter) retire(b interval.Time) {
 	}
 }
 
-// enqueue appends mult copies of (data, iv), each with its own backing
-// slice so emitted siblings never alias.
+// enqueue appends mult copies of (data, iv) to the output queue.
 func (it *streamDiffIter) enqueue(data tuple.Tuple, iv interval.Interval, mult int64) {
-	row := make(tuple.Tuple, 0, len(data)+2)
-	row = append(row, data...)
-	row = append(row, tuple.Int(iv.Begin), tuple.Int(iv.End))
-	it.queue = append(it.queue, row)
-	for i := int64(1); i < mult; i++ {
-		it.queue = append(it.queue, row.Clone())
-	}
+	it.queue = appendSegment(it.queue, data, iv, mult)
 }
 
 // fill runs the merged sweep until the output queue holds at least one
@@ -271,7 +164,7 @@ func (it *streamDiffIter) fill() bool {
 			// first-seen order, so repeated runs stream identical row
 			// order (the map holds only the live groups, so the flush
 			// sorts O(active groups), not O(all groups ever seen)).
-			live := make([]*diffGroup, 0, len(it.groups))
+			live := make([]*sweepGroup, 0, len(it.groups))
 			for _, g := range it.groups {
 				live = append(live, g)
 			}
@@ -294,13 +187,12 @@ func (it *streamDiffIter) fill() bool {
 			// a different numeric kind (Int vs integral Float), which
 			// Equal and Key treat as the same value — exactly as the
 			// blocking sweep's first-seen representative does.
-			g = &diffGroup{key: key, data: data, segStart: iv.Begin, curT: iv.Begin, seq: it.nextSeq}
+			g = &sweepGroup{key: key, data: data, segStart: iv.Begin, curT: iv.Begin, seq: it.nextSeq}
 			it.nextSeq++
 			it.groups[key] = g
 		}
 		g.advance(iv.Begin, it.enqueue)
 		g.curDelta += sign
-		g.curEvent = true
 		g.ends.push(iv.End, -sign)
 		if n := len(it.groups); n > it.maxGroups {
 			it.maxGroups = n

@@ -100,8 +100,7 @@ type minHeap[T any] struct {
 	items []hItem[T]
 }
 
-// hItem is one heap element: the sort key and its payload (struct{}
-// for bare endpoint heaps).
+// hItem is one heap element: the sort key and its payload.
 type hItem[T any] struct {
 	t interval.Time
 	v T
@@ -148,21 +147,26 @@ func (h *minHeap[T]) pop() hItem[T] {
 	return top
 }
 
-// coalesceGroup is the per-value-equivalent-group sweep state of the
-// streaming coalesce: the pending interval ends not yet passed by the
-// sweep, the multiplicity committed through curT, and the uncommitted
-// multiplicity change accumulated at curT. Deltas at one time point are
-// only committed when the sweep moves strictly past it, so cancelling
-// events at the same instant (an interval ending exactly where another
-// begins) never produce a spurious segment boundary.
-type coalesceGroup struct {
+// sweepGroup is the per-value-equivalent-group state of the streaming
+// coalesce and the streaming difference: the pending interval ends not
+// yet passed by the sweep, each carrying the signed delta it applies to
+// the count (−1 for a coalesced row; for the difference, −1 for a left
+// row and +1 for a right one), the count committed through curT, and
+// the uncommitted delta accumulated at curT. Deltas at one time point
+// are only committed when the sweep moves strictly past it, so
+// cancelling events at the same instant (an interval ending exactly
+// where another begins) never produce a segment boundary: a segment
+// stays open while the count is unchanged, and the emitted segments are
+// the unique encoding.
+type sweepGroup struct {
 	key      string
 	data     tuple.Tuple
-	ends     minHeap[struct{}] // bare endpoint heap: keys only
-	count    int64
-	segStart interval.Time
+	ends     minHeap[int64] // pending end events; payload = signed delta to apply
+	count    int64          // committed count through curT
+	segStart interval.Time  // where the count last changed
 	curT     interval.Time
 	curDelta int64
+	seq      int // first-seen order, for the difference's deterministic end-of-input flush
 	// reg/regT: the group's single live registration in the iterator's
 	// expiry heap (the global-sweep eviction machinery).
 	reg  bool
@@ -171,13 +175,16 @@ type coalesceGroup struct {
 
 // nextTime reports when the group next needs the sweep's attention.
 // ok=false means the group is fully closed and committed: evictable.
-// The earliest open end is preferred over the uncommitted delta at
-// curT: advance() commits pending deltas on the way to any later wake
-// time, so waking at the end event is equally correct — and it avoids
-// registering a wake at the current sweep position on EVERY row
-// arrival, which the very next row would pop again (two expiry-heap
-// operations per input row instead of per end event).
-func (g *coalesceGroup) nextTime() (interval.Time, bool) {
+// Every begin delta has a matching end delta in the ends heap, so a
+// group with no pending end, no uncommitted delta and a zero count can
+// never emit again. The earliest open end is preferred over the
+// uncommitted delta at curT: advance() commits pending deltas on the
+// way to any later wake time, so waking at the end event is equally
+// correct — and it avoids registering a wake at the current sweep
+// position on EVERY row arrival, which the very next row would pop
+// again (two expiry-heap operations per input row instead of per end
+// event).
+func (g *sweepGroup) nextTime() (interval.Time, bool) {
 	if g.ends.len() > 0 {
 		return g.ends.min(), true
 	}
@@ -188,8 +195,12 @@ func (g *coalesceGroup) nextTime() (interval.Time, bool) {
 }
 
 // commit applies the pending delta at curT, emitting the finished
-// segment [segStart, curT) if the multiplicity actually changes.
-func (g *coalesceGroup) commit(emit func(data tuple.Tuple, iv interval.Interval, mult int64)) {
+// segment [segStart, curT) if the count actually changes. Only a
+// positive count emits — for the difference that is the ℕ monus
+// max(0, count). A change between non-positive counts (say −1 to 0)
+// also moves segStart, which is harmless: nothing is emitted until the
+// count turns positive, and that change moves segStart again.
+func (g *sweepGroup) commit(emit func(data tuple.Tuple, iv interval.Interval, mult int64)) {
 	if g.curDelta == 0 {
 		return
 	}
@@ -203,8 +214,9 @@ func (g *coalesceGroup) commit(emit func(data tuple.Tuple, iv interval.Interval,
 
 // advance moves the group's sweep position to t, committing every
 // pending end event strictly before it and folding ends at t into the
-// current delta.
-func (g *coalesceGroup) advance(t interval.Time, emit func(tuple.Tuple, interval.Interval, int64)) {
+// current delta (a same-instant begin may still arrive and belongs to
+// the same event).
+func (g *sweepGroup) advance(t interval.Time, emit func(tuple.Tuple, interval.Interval, int64)) {
 	for g.ends.len() > 0 && g.ends.min() <= t {
 		et := g.ends.min()
 		if et > g.curT {
@@ -212,8 +224,7 @@ func (g *coalesceGroup) advance(t interval.Time, emit func(tuple.Tuple, interval
 			g.curT = et
 		}
 		for g.ends.len() > 0 && g.ends.min() == et {
-			g.ends.pop()
-			g.curDelta--
+			g.curDelta += g.ends.pop().v
 		}
 	}
 	if t > g.curT {
@@ -225,7 +236,7 @@ func (g *coalesceGroup) advance(t interval.Time, emit func(tuple.Tuple, interval
 // flush drains every remaining pending end at end of input — with no
 // time bound, so arbitrarily late interval ends are still emitted —
 // and commits the final segment.
-func (g *coalesceGroup) flush(emit func(tuple.Tuple, interval.Interval, int64)) {
+func (g *sweepGroup) flush(emit func(tuple.Tuple, interval.Interval, int64)) {
 	for g.ends.len() > 0 {
 		et := g.ends.min()
 		if et > g.curT {
@@ -233,8 +244,7 @@ func (g *coalesceGroup) flush(emit func(tuple.Tuple, interval.Interval, int64)) 
 			g.curT = et
 		}
 		for g.ends.len() > 0 && g.ends.min() == et {
-			g.ends.pop()
-			g.curDelta--
+			g.curDelta += g.ends.pop().v
 		}
 	}
 	g.commit(emit)
@@ -251,8 +261,8 @@ type streamCoalesceIter struct {
 	in      RowIter
 	cur     batchCursor
 	n       int // data arity
-	groups  map[string]*coalesceGroup
-	expiry  minHeap[*coalesceGroup] // group wake-ups keyed by next event time
+	groups  map[string]*sweepGroup
+	expiry  minHeap[*sweepGroup] // group wake-ups keyed by next event time
 	queue   []tuple.Tuple
 	qi      int
 	last    interval.Time
@@ -281,14 +291,14 @@ func NewStreamCoalesceIter(in RowIter) RowIter {
 		in:     in,
 		cur:    batchCursor{in: in},
 		n:      in.Schema().Arity() - 2,
-		groups: make(map[string]*coalesceGroup),
+		groups: make(map[string]*sweepGroup),
 	}
 }
 
 // track (re-)registers g in the expiry heap at its next event time, or
 // evicts it when fully closed. Each group holds at most one live
 // registration, so the heap stays O(active groups).
-func (it *streamCoalesceIter) track(g *coalesceGroup) {
+func (it *streamCoalesceIter) track(g *sweepGroup) {
 	t, ok := g.nextTime()
 	if !ok {
 		delete(it.groups, g.key)
@@ -317,16 +327,9 @@ func (it *streamCoalesceIter) retire(b interval.Time) {
 
 func (it *streamCoalesceIter) Schema() tuple.Schema { return it.in.Schema() }
 
-// enqueue appends mult copies of (data, iv), each with its own backing
-// slice so emitted siblings never alias.
+// enqueue appends mult copies of (data, iv) to the output queue.
 func (it *streamCoalesceIter) enqueue(data tuple.Tuple, iv interval.Interval, mult int64) {
-	row := make(tuple.Tuple, 0, len(data)+2)
-	row = append(row, data...)
-	row = append(row, tuple.Int(iv.Begin), tuple.Int(iv.End))
-	it.queue = append(it.queue, row)
-	for i := int64(1); i < mult; i++ {
-		it.queue = append(it.queue, row.Clone())
-	}
+	it.queue = appendSegment(it.queue, data, iv, mult)
 }
 
 // fill runs the sweep until the output queue holds at least one emitted
@@ -366,12 +369,12 @@ func (it *streamCoalesceIter) fill() bool {
 		if !ok2 {
 			key := string(it.scratch)
 			//lint:ignore rowretain the group keeps a read-only view of the data columns; sweep producers never reuse yielded backing arrays
-			g = &coalesceGroup{key: key, data: data, segStart: iv.Begin, curT: iv.Begin}
+			g = &sweepGroup{key: key, data: data, segStart: iv.Begin, curT: iv.Begin}
 			it.groups[key] = g
 		}
 		g.advance(iv.Begin, it.enqueue)
 		g.curDelta++
-		g.ends.push(iv.End, struct{}{})
+		g.ends.push(iv.End, -1)
 		if n := len(it.groups); n > it.maxGroups {
 			it.maxGroups = n
 		}
@@ -433,6 +436,10 @@ type aggGroup struct {
 	alive    int64
 	segStart interval.Time
 	started  bool
+	// last is the group's newest result row, held back from the output
+	// queue while a later adjacent segment with key-equal results may
+	// still extend it.
+	last tuple.Tuple
 	// reg/regT: the group's single live registration in the iterator's
 	// expiry heap (grouped aggregation only; the global group never
 	// registers, since its gap rows need a continuous segStart).
@@ -442,10 +449,10 @@ type aggGroup struct {
 
 // streamAggIter is the streaming form of the §9 pre-aggregated split:
 // one incremental endpoint sweep per group over begin-sorted input,
-// emitting a result row per elementary segment, without materializing
-// the input. Segment boundaries fall on every endpoint of the group
-// (the split semantics N_G, Def 8.3), exactly as in the blocking
-// aggregateSweep.
+// without materializing the input. The accumulators change at the
+// group's endpoints (the split semantics N_G, Def 8.3); adjacent
+// segments with key-equal results merge into one row, so the output is
+// the unique encoding, exactly as in the blocking aggregateSweep.
 type streamAggIter struct {
 	in      RowIter
 	cur     batchCursor
@@ -526,6 +533,9 @@ func (it *streamAggIter) track(g *aggGroup) {
 		return
 	}
 	if g.pending.len() == 0 {
+		// Every later row of the group begins after the sweep position,
+		// past the end of its last row, so that row is final.
+		it.release(g)
 		delete(it.groups, g.key)
 		return
 	}
@@ -555,10 +565,12 @@ func (it *streamAggIter) retire(b interval.Time) {
 
 func (it *streamAggIter) Schema() tuple.Schema { return it.prep.schema }
 
-// boundary closes the segment [segStart, t) of g, emitting a result row
-// with the current accumulator values. Empty segments of grouped
-// aggregation (alive == 0) produce nothing; global aggregation emits
-// neutral rows over gaps.
+// boundary closes the segment [segStart, t) of g with the current
+// accumulator values: it extends the group's held-back row when that
+// row is adjacent with key-equal results, and otherwise queues the held
+// row and holds a new one. Empty segments of grouped aggregation
+// (alive == 0) produce nothing; global aggregation emits neutral rows
+// over gaps.
 func (it *streamAggIter) boundary(g *aggGroup, t interval.Time) {
 	if !g.started {
 		g.started = true
@@ -569,17 +581,20 @@ func (it *streamAggIter) boundary(g *aggGroup, t interval.Time) {
 		return
 	}
 	if g.alive > 0 || it.global {
-		// One exact-capacity allocation per output row: Clone-then-append
-		// reallocated the backing array twice per segment.
-		row := make(tuple.Tuple, 0, len(g.group)+len(g.sweepers)+2)
-		row = append(row, g.group...)
-		for _, sw := range g.sweepers {
-			row = append(row, sw.result())
+		if row := aggRow(g.last, g.group, g.sweepers, interval.Interval{Begin: g.segStart, End: t}); row != nil {
+			it.release(g)
+			g.last = row
 		}
-		row = append(row, tuple.Int(g.segStart), tuple.Int(t))
-		it.queue = append(it.queue, row)
 	}
 	g.segStart = t
+}
+
+// release queues g's held-back row, which no later segment can extend.
+func (it *streamAggIter) release(g *aggGroup) {
+	if g.last != nil {
+		it.queue = append(it.queue, g.last)
+		g.last = nil
+	}
 }
 
 // exitAt pops every pending exit of g at time et and removes those rows
@@ -637,6 +652,7 @@ func (it *streamAggIter) fill() bool {
 				if it.global {
 					it.boundary(g, it.dom.Max)
 				}
+				it.release(g)
 			}
 			it.drained = true
 			continue

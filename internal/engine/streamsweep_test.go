@@ -217,8 +217,8 @@ func TestSortIterEstablishesOrder(t *testing.T) {
 	}
 }
 
-// Streaming grouped aggregation must split at every endpoint and skip
-// gaps, exactly like the blocking pre-aggregated sweep.
+// Streaming grouped aggregation must split where its results change and
+// skip gaps, exactly like the blocking pre-aggregated sweep.
 func TestStreamAggMatchesBlockingGrouped(t *testing.T) {
 	dom := interval.NewDomain(0, 24)
 	in := NewTable(tuple.NewSchema("g", "x"))

@@ -411,3 +411,69 @@ func hasDuplicate(cols []string) bool {
 	}
 	return false
 }
+
+// GenElisionQuery generates a random query whose root sweep — a grouped
+// or global aggregation, or a difference — sits under zero to two
+// layers of injective projections (every column kept, renamed and
+// permuted, maybe next to a computed one), non-injective projections (a
+// column dropped, or a single column mapped to a constant) and
+// data-only selections: the shapes that decide whether the planner may
+// drop the final coalesce. It is a separate method so the random
+// streams of the other generators stay unchanged.
+func (g *Gen) GenElisionQuery() algebra.Query {
+	var q algebra.Query
+	var cols []string
+	switch g.R.Intn(3) {
+	case 0:
+		q = algebra.Agg{
+			GroupBy: []string{"a"},
+			Aggs:    []algebra.AggSpec{{Fn: krel.Sum, Arg: "b", As: "v"}, {Fn: krel.CountStar, As: "cnt"}},
+			In:      g.genPositive(g.MaxDepth-2, true),
+		}
+		cols = []string{"a", "v", "cnt"}
+	case 1:
+		fn := []krel.AggFunc{krel.Sum, krel.Min, krel.Max, krel.Avg, krel.Count}[g.R.Intn(5)]
+		q = algebra.Agg{Aggs: []algebra.AggSpec{{Fn: fn, Arg: "b", As: "v"}}, In: g.genPositive(g.MaxDepth-2, true)}
+		cols = []string{"v"}
+	default:
+		q = algebra.Diff{L: g.genPositive(g.MaxDepth-2, true), R: g.genPositive(g.MaxDepth-2, true)}
+		cols = []string{"a", "b"}
+	}
+	for layer := g.R.Intn(3); layer > 0; layer-- {
+		switch g.R.Intn(3) {
+		case 0:
+			var exprs []algebra.NamedExpr
+			for i, j := range g.R.Perm(len(cols)) {
+				exprs = append(exprs, algebra.NamedExpr{Name: fmt.Sprintf("p%d_%d", layer, i), E: algebra.Col(cols[j])})
+			}
+			if g.R.Intn(2) == 0 {
+				exprs = append(exprs, algebra.NamedExpr{Name: fmt.Sprintf("p%d_c", layer), E: algebra.Add(g.col(cols), algebra.IntC(1))})
+			}
+			q, cols = algebra.Project{Exprs: exprs, In: q}, namesOf(exprs)
+		case 1:
+			var exprs []algebra.NamedExpr
+			if len(cols) == 1 {
+				exprs = []algebra.NamedExpr{{Name: cols[0], E: algebra.Mul(algebra.Col(cols[0]), algebra.IntC(0))}}
+			} else {
+				drop := g.R.Intn(len(cols))
+				for i, c := range cols {
+					if i != drop {
+						exprs = append(exprs, algebra.NamedExpr{Name: c, E: algebra.Col(c)})
+					}
+				}
+			}
+			q, cols = algebra.Project{Exprs: exprs, In: q}, namesOf(exprs)
+		default:
+			q = algebra.Select{Pred: g.atom(cols), In: q}
+		}
+	}
+	return q
+}
+
+func namesOf(exprs []algebra.NamedExpr) []string {
+	names := make([]string, len(exprs))
+	for i, ne := range exprs {
+		names[i] = ne.Name
+	}
+	return names
+}

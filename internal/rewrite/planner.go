@@ -12,7 +12,8 @@ import (
 //
 //	1. logical rewrite   — the algebraic selection pushdown
 //	                       (algebra.Optimize), then the REWR reduction
-//	                       (rewrite.go)
+//	                       (rewrite.go) with its final coalesce, unless
+//	                       the plan already emits the unique encoding
 //	2. pushdown          — moves the time window τ_T below the REWR
 //	                       operators where the temporal algebra allows
 //	                       (pushdown.go documents the per-rule legality
@@ -75,6 +76,16 @@ func (d *Decisions) note(format string, args ...any) {
 	d.Notes = append(d.Notes, fmt.Sprintf(format, args...))
 }
 
+// finalCoalesceIdentity reports whether REWR's final coalesce would be
+// the identity on p: C is the identity on a coalesced input, and the
+// pre-aggregated split and the difference emit the unique encoding
+// themselves (engine.Coalesced lists the operators that keep it). The
+// analytic implementation keeps its coalesce: it exists to measure that
+// operator's cost.
+func finalCoalesceIdentity(p engine.Plan, opt Options) bool {
+	return opt.CoalesceImpl == engine.CoalesceNative && engine.Coalesced(p)
+}
+
 // PlanQuery reduces a snapshot query to a physical plan through the
 // planner's phases and returns the plan together with the record of
 // physical decisions taken. cat must resolve the data schemas of the
@@ -96,7 +107,7 @@ func PlanQuery(q algebra.Query, cat algebra.Catalog, opt Options) (engine.Plan, 
 	if err != nil {
 		return nil, nil, err
 	}
-	if opt.Mode == ModeOptimized && !opt.SkipFinalCoalesce {
+	if opt.Mode == ModeOptimized && !opt.SkipFinalCoalesce && !finalCoalesceIdentity(p, opt) {
 		p = rw.coalesceOp(p)
 	}
 

@@ -152,11 +152,9 @@ func TestWindowPushdownPlanShape(t *testing.T) {
 	if got := countWindows(p); got != 2 {
 		t.Fatalf("global-agg plan has %d windows, want above+below = 2:\n%s", got, p)
 	}
-	co, ok = p.(engine.CoalesceP)
-	if !ok {
-		t.Fatalf("plan root is %T, want CoalesceP: %s", p, p)
-	}
-	above, ok := co.In.(engine.WindowP)
+	// The aggregate emits the unique encoding, so no coalesce sits above
+	// the upper window.
+	above, ok := p.(engine.WindowP)
 	if !ok {
 		t.Fatalf("global aggregate lacks the window above it: %s", p)
 	}

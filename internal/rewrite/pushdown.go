@@ -39,13 +39,14 @@ import (
 //   - Diff: τ_T(L − R) ≡ τ_T(L) − τ_T(R). At every snapshot t ∈ T the
 //     ℕ-monus is computed from the same row multiplicities (clipping
 //     never changes which rows are live at t ∈ T), and snapshots
-//     outside T are dropped on both sides. The two sides may produce
-//     different period encodings of that same temporal relation — the
-//     difference splits intervals at its inputs' endpoints — which is
-//     why REWR's final coalesce (or the snapshot-equivalence contract
-//     of SkipFinalCoalesce) is what the rule relies on.
+//     outside T are dropped on both sides. The inputs of the two sides
+//     encode their relations differently, but the difference sweep
+//     emits the unique encoding, which depends only on the snapshots,
+//     so both sides of the identity give the same rows.
 //   - Agg, grouped: like Diff — group membership at each t ∈ T is
-//     unchanged by clipping, so the window pushes through plainly.
+//     unchanged by clipping, so the window pushes through plainly, and
+//     the sweep's unique encoding of the result again depends only on
+//     the snapshots.
 //   - Agg, global (empty GROUP BY): the aggregate emits rows over the
 //     WHOLE time domain, including zero-count gap rows where no input
 //     is live. Pushing only below would therefore grow the output
@@ -64,24 +65,11 @@ import (
 //   - Window: two windows merge by interval intersection; an empty
 //     intersection leaves a zero-interval window (clips everything).
 
-// periodCol reports whether name is one of the period attributes.
-func periodCol(name string) bool {
-	return name == engine.BeginCol || name == engine.EndCol
-}
-
-// dataOnly reports whether e references no period attribute — the
-// Filter/Project legality condition. Unknown expression forms report
-// false (conservative: an expression the analysis cannot see through
-// must block the push).
-func dataOnly(e algebra.Expr) bool {
-	return algebra.ColsSatisfy(e, func(c string) bool { return !periodCol(c) })
-}
-
 // blockingConjunct returns the first conjunct of e that prevents the
 // window push — for the decision notes.
 func blockingConjunct(e algebra.Expr) algebra.Expr {
 	for _, c := range algebra.Conjuncts(e) {
-		if !dataOnly(c) {
+		if !engine.DataOnly(c) {
 			return c
 		}
 	}
@@ -95,7 +83,7 @@ func (rw *rewriter) pushWindow(p engine.Plan, T interval.Interval, dec *Decision
 	case engine.ScanP:
 		return engine.WindowP{T: T, In: n}
 	case engine.FilterP:
-		if !dataOnly(n.Pred) {
+		if !engine.DataOnly(n.Pred) {
 			dec.note("window stays above filter: conjunct %s reads period attributes", blockingConjunct(n.Pred))
 			return engine.WindowP{T: T, In: n}
 		}
@@ -103,7 +91,7 @@ func (rw *rewriter) pushWindow(p engine.Plan, T interval.Interval, dec *Decision
 		return n
 	case engine.ProjectP:
 		for _, ne := range n.Exprs {
-			if !dataOnly(ne.E) {
+			if !engine.DataOnly(ne.E) {
 				dec.note("window stays above project: expression %s reads period attributes", ne.E)
 				return engine.WindowP{T: T, In: n}
 			}

@@ -5,10 +5,12 @@
 //
 // Two plan modes reproduce the §9 optimization study:
 //
-//   - ModeOptimized (the paper's middleware): coalesce is applied exactly
+//   - ModeOptimized (the paper's middleware): coalesce is applied at most
 //     once, as the final operator — justified by Lemma 6.1, which lets
 //     C_K be pulled out of +KP, ·KP and the monus; aggregation and
-//     difference use pre-aggregation intertwined with the split.
+//     difference use pre-aggregation intertwined with the split, and
+//     their sweeps emit the unique encoding themselves, so a plan rooted
+//     at one (see engine.Coalesced) needs no coalesce at all.
 //   - ModeNaive (the strawman of §9's "preliminary experiments"):
 //     coalesce after every rewritten operator, and split materialized
 //     before aggregation without pre-aggregation.
@@ -30,7 +32,8 @@ import (
 type Mode int
 
 const (
-	// ModeOptimized applies a single final coalesce and pre-aggregation.
+	// ModeOptimized applies pre-aggregation and at most one coalesce, at
+	// the root, skipped where it would be the identity.
 	ModeOptimized Mode = iota
 	// ModeNaive coalesces after every operator and materializes splits.
 	ModeNaive
@@ -66,7 +69,9 @@ type Options struct {
 	// pre-aggregated split of ModeOptimized.
 	Sweep SweepMode
 	// SkipFinalCoalesce omits the outermost coalesce; the result is then
-	// snapshot-equivalent but not the unique encoding. Used only by
+	// snapshot-equivalent but, unless the plan emits it anyway (an
+	// aggregation or difference root, see engine.Coalesced, which never
+	// gets that coalesce), not the unique encoding. Used only by
 	// benchmarks that want to isolate operator cost.
 	SkipFinalCoalesce bool
 	// Window restricts the query to the time window [Begin, End): the

@@ -270,9 +270,10 @@ func TestDiffSweepPlanning(t *testing.T) {
 	}
 }
 
-// TestUniqueEncodingOfResults: in optimized mode the final coalesce makes
-// the result the unique encoding — the exact PERIODENC image of the
-// logical result.
+// TestUniqueEncodingOfResults: in optimized mode the final coalesce, or
+// the aggregation or difference sweep that makes it redundant, makes the
+// result the unique encoding — the exact PERIODENC image of the logical
+// result.
 func TestUniqueEncodingOfResults(t *testing.T) {
 	g := qgen.New(7)
 	for i := 0; i < 50; i++ {
@@ -304,7 +305,8 @@ func TestUniqueEncodingOfResults(t *testing.T) {
 }
 
 // TestCoalescePlacement checks the §9 optimization structurally: the
-// optimized plan contains exactly one coalesce, the naive plan one per
+// optimized plan contains at most one coalesce — none when the root
+// sweep already emits the unique encoding — and the naive plan one per
 // rewritten operator.
 func TestCoalescePlacement(t *testing.T) {
 	db := exampleDB()
@@ -313,8 +315,28 @@ func TestCoalescePlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := engine.CountCoalesce(opt); got != 1 {
-		t.Fatalf("optimized plan has %d coalesce operators, want 1:\n%s", got, opt)
+	// Qonduty's root is the pre-aggregated split: its final coalesce would
+	// be the identity, so the plan has none.
+	if got := engine.CountCoalesce(opt); got != 0 {
+		t.Fatalf("optimized aggregation plan has %d coalesce operators, want 0:\n%s", got, opt)
+	}
+	// The analytic implementation keeps its coalesce: it is what that
+	// option measures.
+	analytic, err := rewrite.Rewrite(q, db, rewrite.Options{Mode: rewrite.ModeOptimized, CoalesceImpl: engine.CoalesceAnalytic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := engine.CountCoalesce(analytic); got != 1 {
+		t.Fatalf("analytic-coalesce plan has %d coalesce operators, want 1:\n%s", got, analytic)
+	}
+	// A join emits no unique encoding: exactly one final coalesce.
+	join := algebra.Join{L: algebra.Rel{Name: "works"}, R: algebra.Rel{Name: "assign"}, Pred: algebra.Eq(algebra.Col("skill"), algebra.Col("r.skill"))}
+	joined, err := rewrite.Rewrite(join, db, rewrite.Options{Mode: rewrite.ModeOptimized})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := engine.CountCoalesce(joined); got != 1 {
+		t.Fatalf("optimized join plan has %d coalesce operators, want 1:\n%s", got, joined)
 	}
 	naive, err := rewrite.Rewrite(q, db, rewrite.Options{Mode: rewrite.ModeNaive})
 	if err != nil {
@@ -324,7 +346,7 @@ func TestCoalescePlacement(t *testing.T) {
 	if got := engine.CountCoalesce(naive); got != 2 {
 		t.Fatalf("naive plan has %d coalesce operators, want 2:\n%s", got, naive)
 	}
-	skip, err := rewrite.Rewrite(q, db, rewrite.Options{SkipFinalCoalesce: true})
+	skip, err := rewrite.Rewrite(join, db, rewrite.Options{SkipFinalCoalesce: true})
 	if err != nil {
 		t.Fatal(err)
 	}

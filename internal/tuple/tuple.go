@@ -257,6 +257,50 @@ func (t Tuple) AppendKey(b []byte, idx []int) []byte {
 	return b
 }
 
+// KeyEqual reports whether a and b have the same key encoding (see
+// AppendKey) without formatting either: NULL equals NULL, an integral
+// float below 1e15 in magnitude equals the int of the same value, NaN
+// equals NaN, and other values equal exactly the values of their own
+// kind with the same payload. Unlike Equal, a NaN is key-equal to
+// itself, and a large integral float never equals an int.
+func KeyEqual(a, b Value) bool {
+	ai, aInt := keyInt(a)
+	bi, bInt := keyInt(b)
+	if aInt || bInt {
+		return aInt && bInt && ai == bi
+	}
+	if a.kind != b.kind {
+		return false
+	}
+	switch a.kind {
+	case KindFloat:
+		// Non-integral (or huge or infinite) floats encode as their
+		// shortest round-trip text, which is unique per value; every NaN
+		// encodes as "NaN".
+		return a.f == b.f || (math.IsNaN(a.f) && math.IsNaN(b.f))
+	case KindString:
+		return a.s == b.s
+	case KindBool:
+		return a.i == b.i
+	default: // NULL
+		return true
+	}
+}
+
+// keyInt returns the integer a value's key encodes when it encodes as
+// one: ints, and the integral floats AppendKey writes like ints.
+func keyInt(v Value) (int64, bool) {
+	switch v.kind {
+	case KindInt:
+		return v.i, true
+	case KindFloat:
+		if f := v.f; f == math.Trunc(f) && !math.IsInf(f, 0) && math.Abs(f) < 1e15 {
+			return int64(f), true
+		}
+	}
+	return 0, false
+}
+
 // Project returns the sub-tuple at the given column indexes.
 func (t Tuple) Project(idx []int) Tuple {
 	out := make(Tuple, len(idx))

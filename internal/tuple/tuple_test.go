@@ -1,6 +1,7 @@
 package tuple
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -216,6 +217,54 @@ func TestKeyEqualProperty(t *testing.T) {
 		return (ta.Key() == tb.Key()) == eq
 	}
 	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestKeyEqualMatchesAppendKey checks the property KeyEqual exists for:
+// it agrees exactly with byte equality of the AppendKey encodings, over
+// every pair of a pool of edge values (NULL, ±0, NaN, ±Inf, integral
+// floats on both sides of 1e15, strings that look like numbers) and
+// over random pairs drawn from a small domain so that equal pairs are
+// common.
+func TestKeyEqualMatchesAppendKey(t *testing.T) {
+	agree := func(a, b Value) bool {
+		ka := Tuple{a}.AppendKey(nil, nil)
+		kb := Tuple{b}.AppendKey(nil, nil)
+		return KeyEqual(a, b) == (string(ka) == string(kb))
+	}
+	pool := []Value{
+		Null, Int(0), Int(-1), Int(1), Int(2), Int(1e15), Int(-1e15), Int(1e15 - 1),
+		Float(0), Float(math.Copysign(0, -1)), Float(1), Float(-1), Float(2), Float(2.5), Float(-2.5),
+		Float(1e15), Float(-1e15), Float(1e15 - 1), Float(1e16), Float(0.1), Float(0.1 + 0.2), Float(0.3),
+		Float(math.NaN()), Float(-math.NaN()), Float(math.Inf(1)), Float(math.Inf(-1)),
+		Float(math.MaxFloat64), Float(math.SmallestNonzeroFloat64),
+		String_(""), String_("1"), String_("i1"), String_("NaN"), String_("x"),
+		Bool(false), Bool(true),
+	}
+	for _, a := range pool {
+		for _, b := range pool {
+			if !agree(a, b) {
+				t.Errorf("KeyEqual(%v [%s], %v [%s]) disagrees with AppendKey", a, a.Kind(), b, b.Kind())
+			}
+		}
+	}
+	draw := func(kind, x uint8) Value {
+		switch kind % 5 {
+		case 0:
+			return Null
+		case 1:
+			return Int(int64(x%8) - 4)
+		case 2:
+			return Float(float64(int(x%16)-8) / 2) // halves: integral and not
+		case 3:
+			return String_(string(rune('a' + x%3)))
+		default:
+			return Bool(x%2 == 0)
+		}
+	}
+	f := func(ka, xa, kb, xb uint8) bool { return agree(draw(ka, xa), draw(kb, xb)) }
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Fatal(err)
 	}
 }

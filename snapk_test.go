@@ -6,6 +6,11 @@ import (
 	"testing"
 
 	snapk "snapk"
+	"snapk/internal/algebra"
+	"snapk/internal/engine"
+	"snapk/internal/rewrite"
+	"snapk/internal/sqlfe"
+	"snapk/internal/tuple"
 	"snapk/internal/workload"
 )
 
@@ -179,7 +184,15 @@ func TestDomainAccessorsAndExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(plan, "Coalesce") || !strings.Contains(plan, "TAgg") {
+	// The aggregation emits the unique encoding itself: no coalesce.
+	if strings.Contains(plan, "Coalesce") || !strings.Contains(plan, "TAgg") {
+		t.Errorf("Explain = %q", plan)
+	}
+	plan, err = db.Explain(`SEQ VT (SELECT w.name, a.mach FROM works w JOIN assign a ON w.skill = a.skill)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(plan, "Coalesce") || !strings.Contains(plan, "TJoin") {
 		t.Errorf("Explain = %q", plan)
 	}
 	if _, err := db.Explain(`bad`); err == nil {
@@ -396,6 +409,65 @@ func TestResultSortsNumericallyNotLexicographically(t *testing.T) {
 	for i, want := range []string{"NULL", "1.5", "2"} {
 		if !strings.HasPrefix(lines[2+i], want) {
 			t.Fatalf("row %d = %q, want prefix %q\n%s", i, lines[2+i], want, res)
+		}
+	}
+}
+
+// TestExplainCoalesceElision pins which public-API plans keep REWR's
+// final coalesce. An aggregation or difference root emits the unique
+// encoding itself, also under a projection that keeps every column, so
+// diff-2, agg-1, agg-3 and Q1 run without one; join roots keep exactly
+// one, and so does an aggregation whose projection drops the grouping
+// column, since rows of different departments can then merge. The
+// naive plans (a coalesce after every operator) are unchanged.
+func TestExplainCoalesceElision(t *testing.T) {
+	schemas := map[string][]string{
+		"lineitem": {"l_orderkey", "l_partkey", "l_suppkey", "l_quantity", "l_extendedprice",
+			"l_discount", "l_tax", "l_returnflag", "l_linestatus", "l_shipmode", "l_shipinstruct"},
+		"employees":    {"emp_no", "name"},
+		"salaries":     {"emp_no", "salary"},
+		"dept_emp":     {"emp_no", "dept_no"},
+		"dept_manager": {"emp_no", "dept_no"},
+	}
+	db := snapk.New(0, 100)
+	cat := algebra.MapCatalog{}
+	for name, cols := range schemas {
+		if _, err := db.CreateTable(name, cols...); err != nil {
+			t.Fatal(err)
+		}
+		cat[name] = tuple.NewSchema(cols...)
+	}
+	sqls := map[string]string{
+		"dept-avg": `SEQ VT (SELECT avg(s.salary) AS avg_salary
+			FROM salaries s JOIN dept_emp d ON s.emp_no = d.emp_no GROUP BY d.dept_no)`,
+	}
+	for _, q := range append(workload.Employees(), workload.TPCH()...) {
+		sqls[q.ID] = q.SQL
+	}
+	for _, c := range []struct {
+		id              string
+		coalesce, naive int
+	}{
+		{"diff-2", 0, 7}, {"agg-1", 0, 6}, {"agg-3", 0, 9}, {"Q1", 0, 3},
+		{"join-1", 1, 4}, {"agg-join", 1, 14}, {"dept-avg", 1, 6},
+	} {
+		plan, err := db.Explain(sqls[c.id])
+		if err != nil {
+			t.Fatalf("%s: %v", c.id, err)
+		}
+		if n := strings.Count(plan, "Coalesce("); n != c.coalesce {
+			t.Errorf("%s: plan has %d coalesce operators, want %d:\n%s", c.id, n, c.coalesce, plan)
+		}
+		q, err := sqlfe.ParseAndTranslate(sqls[c.id], cat)
+		if err != nil {
+			t.Fatalf("%s: %v", c.id, err)
+		}
+		naive, err := rewrite.Rewrite(q, cat, rewrite.Options{Mode: rewrite.ModeNaive})
+		if err != nil {
+			t.Fatalf("%s: %v", c.id, err)
+		}
+		if n := engine.CountCoalesce(naive); n != c.naive {
+			t.Errorf("%s: naive plan has %d coalesce operators, want %d:\n%s", c.id, n, c.naive, naive)
 		}
 	}
 }
