@@ -10,9 +10,6 @@
 //	snapbench -exp table3tpc  Table 3 (TPC-BiH): Seq vs Nat at two scales
 //	snapbench -exp ablation   §9 ablations (E7, E8, E9)
 //	snapbench -exp scaling    parallel exchange executor speedup at 1/2/4/8 workers
-//	snapbench -exp sweep      streaming vs materializing vs partitioned sweep operators
-//	snapbench -exp parstream  parallel streaming sweeps (ordered exchange) vs parallel blocking
-//	snapbench -exp diff       streaming merge-based difference vs the blocking fused diff sweep
 //	snapbench -exp obs        EXPLAIN ANALYZE collector overhead, off vs on
 //	snapbench -exp batch      batch-at-a-time (NextBatch) drive vs the per-row Volcano ablation
 //	snapbench -exp chaos      resource-governor overhead, ungoverned vs governed (limits never trip)
@@ -52,7 +49,7 @@ type config struct {
 func parseFlags(args []string, out io.Writer) (config, error) {
 	fs := flag.NewFlagSet("snapbench", flag.ContinueOnError)
 	fs.SetOutput(out)
-	exp := fs.String("exp", "all", "experiment: fig1|table1|fig5|table2|table3emp|table3tpc|ablation|scaling|sweep|parstream|diff|obs|batch|chaos|opt|all")
+	exp := fs.String("exp", "all", "experiment: fig1|table1|fig5|table2|table3emp|table3tpc|ablation|scaling|obs|batch|chaos|opt|all")
 	quick := fs.Bool("quick", false, "use small datasets (smoke run)")
 	runs := fs.Int("runs", 0, "repetitions per measurement (0 = scale default)")
 	jsonPath := fs.String("json", "", "write per-experiment medians as JSON to this path")
@@ -87,9 +84,6 @@ func experiments(w io.Writer, sc harness.Scale, rep *harness.Report) []experimen
 		{"table3tpc", func() error { return harness.Table3TPC(w, sc, rep) }},
 		{"ablation", func() error { return harness.Ablations(w, sc, rep) }},
 		{"scaling", func() error { return harness.Scaling(w, sc, rep) }},
-		{"sweep", func() error { return harness.Sweep(w, sc, rep) }},
-		{"parstream", func() error { return harness.ParStream(w, sc, rep) }},
-		{"diff", func() error { return harness.Diff(w, sc, rep) }},
 		{"obs", func() error { return harness.Obs(w, sc, rep) }},
 		{"batch", func() error { return harness.Batch(w, sc, rep) }},
 		{"chaos", func() error { return harness.Chaos(w, sc, rep) }},

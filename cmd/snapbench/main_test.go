@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -24,11 +23,11 @@ func TestParseFlagsDefaults(t *testing.T) {
 }
 
 func TestParseFlagsQuickAndRuns(t *testing.T) {
-	cfg, err := parseFlags([]string{"-quick", "-runs", "7", "-exp", "sweep"}, io.Discard)
+	cfg, err := parseFlags([]string{"-quick", "-runs", "7", "-exp", "batch"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Scale.Name != "quick" || cfg.Scale.Runs != 7 || cfg.Exp != "sweep" {
+	if cfg.Scale.Name != "quick" || cfg.Scale.Runs != 7 || cfg.Exp != "batch" {
 		t.Fatalf("flags not applied: %+v", cfg)
 	}
 }
@@ -53,7 +52,7 @@ func TestRunUnknownExperiment(t *testing.T) {
 		t.Fatalf("missing diagnostic: %s", errb.String())
 	}
 	// The diagnostic must list the valid experiment names.
-	for _, name := range []string{"sweep", "diff", "obs", "all"} {
+	for _, name := range []string{"batch", "chaos", "obs", "all"} {
 		if !strings.Contains(errb.String(), name) {
 			t.Fatalf("diagnostic does not list %q: %s", name, errb.String())
 		}
@@ -67,170 +66,9 @@ func TestExperimentRegistryCoversDocumentedIDs(t *testing.T) {
 	for _, e := range exps {
 		ids[e.Name] = true
 	}
-	for _, want := range []string{"fig1", "table1", "fig5", "table2", "table3emp", "table3tpc", "ablation", "scaling", "sweep", "parstream", "diff", "obs", "batch", "chaos", "opt"} {
+	for _, want := range []string{"fig1", "table1", "fig5", "table2", "table3emp", "table3tpc", "ablation", "scaling", "obs", "batch", "chaos", "opt"} {
 		if !ids[want] {
 			t.Fatalf("experiment %q missing from registry", want)
-		}
-	}
-}
-
-// The -json output is the machine-readable contract downstream bench
-// tooling parses; pin its schema on a real sweep run.
-func TestRunSweepJSONSchema(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bench.json")
-	sc := harness.Quick
-	sc.Fig5Sizes = []int{200} // keep the test fast
-	sc.Runs = 1
-	rep := harness.NewReport(sc)
-	var out bytes.Buffer
-	if err := harness.Sweep(&out, sc, rep); err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.WriteJSON(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got harness.Report
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatalf("-json output is not valid JSON: %v", err)
-	}
-	if got.Scale != "quick" || got.Workers < 2 {
-		t.Fatalf("report header wrong: %+v", got)
-	}
-	if len(got.Metrics) == 0 {
-		t.Fatal("no metrics recorded")
-	}
-	names := make(map[string]bool)
-	for _, m := range got.Metrics {
-		if m.Experiment != "sweep" {
-			t.Fatalf("metric experiment = %q, want sweep", m.Experiment)
-		}
-		if m.Name == "" || m.Seconds < 0 {
-			t.Fatalf("malformed metric: %+v", m)
-		}
-		if m.Rows <= 0 {
-			t.Fatalf("sweep metrics must carry output cardinality: %+v", m)
-		}
-		if m.AllocsPerOp <= 0 {
-			t.Fatalf("sweep metrics must carry allocation counts: %+v", m)
-		}
-		names[m.Name] = true
-	}
-	for _, want := range []string{
-		"coalesce-blocking/sorted/rows=200",
-		"coalesce-streaming/sorted/rows=200",
-		"agg-streaming/sorted/rows=200",
-	} {
-		if !names[want] {
-			t.Fatalf("metric %q missing; got %v", want, names)
-		}
-	}
-}
-
-// The parstream experiment feeds the CI smoke and the ROADMAP
-// performance trajectory; pin its -json metric naming so downstream
-// parsing does not silently break.
-func TestRunParStreamJSONSchema(t *testing.T) {
-	sc := harness.Quick
-	sc.Fig5Sizes = []int{200} // keep the test fast
-	sc.Runs = 1
-	rep := harness.NewReport(sc)
-	var out bytes.Buffer
-	if err := harness.ParStream(&out, sc, rep); err != nil {
-		t.Fatal(err)
-	}
-	names := make(map[string]bool)
-	for _, m := range rep.Metrics {
-		if m.Experiment != "parstream" {
-			t.Fatalf("metric experiment = %q, want parstream", m.Experiment)
-		}
-		if m.Name == "" || m.Seconds < 0 {
-			t.Fatalf("malformed metric: %+v", m)
-		}
-		if m.Rows <= 0 {
-			t.Fatalf("parstream metrics must carry output cardinality: %+v", m)
-		}
-		names[m.Name] = true
-	}
-	w := harness.DefaultWorkers
-	for _, want := range []string{
-		fmt.Sprintf("coalesce-par-blocking-x%d/sorted/rows=200", w),
-		fmt.Sprintf("coalesce-par-stream-x%d/sorted/rows=200", w),
-		fmt.Sprintf("agg-par-blocking-x%d/sorted/rows=200", w),
-		fmt.Sprintf("agg-par-stream-x%d/sorted/rows=200", w),
-		"coalesce-seq-stream/sorted/rows=200",
-		"agg-seq-stream/sorted/rows=200",
-	} {
-		if !names[want] {
-			t.Fatalf("metric %q missing; got %v", want, names)
-		}
-	}
-	// Paired variants must agree on output cardinality: the streaming
-	// and blocking parallel sweeps compute the same multiset.
-	var rows []int64
-	for _, m := range rep.Metrics {
-		if strings.HasPrefix(m.Name, "coalesce-") {
-			rows = append(rows, m.Rows)
-		}
-	}
-	for _, r := range rows {
-		if r != rows[0] {
-			t.Fatalf("coalesce variants disagree on output cardinality: %v", rows)
-		}
-	}
-}
-
-// The diff experiment backs the streaming-difference acceptance
-// numbers and the CI smoke; pin its -json metric naming so downstream
-// parsing does not silently break.
-func TestRunDiffJSONSchema(t *testing.T) {
-	sc := harness.Quick
-	sc.Fig5Sizes = []int{200} // keep the test fast
-	sc.Runs = 1
-	rep := harness.NewReport(sc)
-	var out bytes.Buffer
-	if err := harness.Diff(&out, sc, rep); err != nil {
-		t.Fatal(err)
-	}
-	names := make(map[string]bool)
-	for _, m := range rep.Metrics {
-		if m.Experiment != "diff" {
-			t.Fatalf("metric experiment = %q, want diff", m.Experiment)
-		}
-		if m.Name == "" || m.Seconds < 0 {
-			t.Fatalf("malformed metric: %+v", m)
-		}
-		if m.Rows <= 0 {
-			t.Fatalf("diff metrics must carry output cardinality: %+v", m)
-		}
-		names[m.Name] = true
-	}
-	w := harness.DefaultWorkers
-	for _, want := range []string{
-		"diff-blocking/sorted/rows=200",
-		"diff-streaming/sorted/rows=200",
-		"diff-blocking/unsorted/rows=200",
-		"diff-stream-enforced/unsorted/rows=200",
-		fmt.Sprintf("diff-par-blocking-x%d/sorted/rows=200", w),
-		fmt.Sprintf("diff-par-stream-x%d/sorted/rows=200", w),
-	} {
-		if !names[want] {
-			t.Fatalf("metric %q missing; got %v", want, names)
-		}
-	}
-	// Every physical variant computes the same multiset, so all six must
-	// agree on output cardinality.
-	var rows []int64
-	for _, m := range rep.Metrics {
-		rows = append(rows, m.Rows)
-	}
-	for _, r := range rows {
-		if r != rows[0] {
-			t.Fatalf("diff variants disagree on output cardinality: %v", rows)
 		}
 	}
 }
@@ -270,10 +108,10 @@ func TestRunBatchJSONSchema(t *testing.T) {
 	for _, want := range []string{
 		"filter-project/perrow/rows=200",
 		"filter-project/batch/rows=200",
-		"coalesce-streaming/perrow/rows=200",
-		"coalesce-streaming/batch/rows=200",
-		"agg-streaming/batch/rows=200",
-		"diff-streaming/batch/rows=200",
+		"coalesce/perrow/rows=200",
+		"coalesce/batch/rows=200",
+		"agg/batch/rows=200",
+		"diff/batch/rows=200",
 		fmt.Sprintf("coalesce-parallel-x%d/perrow/rows=200", w),
 		fmt.Sprintf("coalesce-parallel-x%d/batch/rows=200", w),
 	} {
@@ -347,9 +185,9 @@ func TestRunChaosJSONSchema(t *testing.T) {
 	for _, want := range []string{
 		"filter-project/ungoverned/rows=200",
 		"filter-project/governed/rows=200",
-		"coalesce-streaming/governed/rows=200",
-		"agg-streaming/governed/rows=200",
-		"diff-streaming/governed/rows=200",
+		"coalesce/governed/rows=200",
+		"agg/governed/rows=200",
+		"diff/governed/rows=200",
 		fmt.Sprintf("coalesce-parallel-x%d/ungoverned/rows=200", w),
 		fmt.Sprintf("coalesce-parallel-x%d/governed/rows=200", w),
 	} {

@@ -26,7 +26,7 @@ func TestListFlag(t *testing.T) {
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("snaplint -list exit %d: %s", code, stderr.String())
 	}
-	for _, name := range []string{"iterclose", "rowretain", "ctxselect", "orderedchan", "keyalloc"} {
+	for _, name := range []string{"iterclose", "rowretain", "ctxselect", "keyalloc"} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-list output missing analyzer %s:\n%s", name, stdout.String())
 		}

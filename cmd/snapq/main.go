@@ -9,10 +9,8 @@
 //	snapq -data factory -explain -sql "SEQ VT (SELECT count(*) AS cnt FROM works)"
 //	snapq -data employees -query agg-1 -approach seq-par -explain   # plan + placement annotations
 //	snapq -data employees -query agg-1 -approach seq-par -analyze   # EXPLAIN ANALYZE: runtime counters
-//	snapq -data employees -query agg-1 -approach par-stream -analyze -trace trace.json
+//	snapq -data employees -query agg-1 -approach seq-par -analyze -trace trace.json
 //	snapq -data employees -query join-1 -approach seq-par  # parallel exchange executor
-//	snapq -data employees -query join-1 -approach seq-stream  # forced streaming sweeps
-//	snapq -data employees -query agg-1 -approach par-stream  # parallel streaming sweeps (ordered exchange)
 //	snapq -data employees -query join-1 -stream -limit 0   # stream rows as they arrive
 //	snapq -data employees -query agg-1 -window 100,200   # timeslice: clip the result to [100, 200)
 //	snapq -data employees -query join-1 -opt -window 100,200 -explain   # cost-aware planner + its decisions
@@ -74,10 +72,10 @@ func parseFlags(args []string, out io.Writer) (config, error) {
 	fs.StringVar(&cfg.Domain, "domain", "0,1000000", "with -data csv: time domain min,max")
 	fs.StringVar(&cfg.SQL, "sql", "", "snapshot SQL to run (SEQ VT optional)")
 	fs.StringVar(&cfg.QueryID, "query", "", "run a named workload query (join-1..diff-2, Q1..Q19)")
-	fs.StringVar(&cfg.Approach, "approach", "seq", "seq|seq-naive|seq-mat|seq-par|seq-stream|par-stream|nat-ip|nat-align")
+	fs.StringVar(&cfg.Approach, "approach", "seq", "seq|seq-naive|seq-mat|seq-par|nat-ip|nat-align")
 	fs.IntVar(&cfg.Limit, "limit", 50, "maximum rows to print (0 = all)")
 	fs.BoolVar(&cfg.Explain, "explain", false, "print the rewritten plan and its annotated EXPLAIN tree instead of executing")
-	fs.BoolVar(&cfg.Analyze, "analyze", false, "execute and print EXPLAIN ANALYZE: per-operator rows, timings, sweep state and exchange metrics")
+	fs.BoolVar(&cfg.Analyze, "analyze", false, "execute and print EXPLAIN ANALYZE: per-operator rows, timings, materialized sweep state and exchange metrics")
 	fs.StringVar(&cfg.Trace, "trace", "", "write the executed query's operator spans as Chrome-trace JSON to this file (implies -analyze)")
 	fs.BoolVar(&cfg.Stream, "stream", false, "print rows as the pipeline produces them instead of materializing and sorting (seq approaches only)")
 	fs.StringVar(&cfg.Out, "out", "", "write the result as CSV to this file instead of printing")
@@ -261,12 +259,8 @@ func parseApproach(s string) (harness.Approach, error) {
 		return harness.SeqMat, nil
 	case "seq-par":
 		return harness.SeqPar, nil
-	case "seq-stream":
-		return harness.SeqStream, nil
-	case "par-stream":
-		return harness.SeqParStream, nil
 	default:
-		return 0, fmt.Errorf("unknown approach %q (valid: seq, seq-naive, seq-mat, seq-par, seq-stream, par-stream, nat-ip, nat-align)", s)
+		return 0, fmt.Errorf("unknown approach %q (valid: seq, seq-naive, seq-mat, seq-par, nat-ip, nat-align)", s)
 	}
 }
 
@@ -285,7 +279,7 @@ func parseWindow(s string) (interval.Interval, error) {
 
 // explainQuery prints the static EXPLAIN of the query under the given
 // approach: the compact rewritten plan, then the annotated operator
-// tree — sweep modes, sort properties, estimated cardinalities, and the
+// tree — estimated cardinalities, operator strategies, and the
 // fragment/exchange placement the parallel executor would choose at the
 // approach's worker count — and, when the planner made any, the
 // physical decisions with their reasons (build side, pre-sizing,
@@ -378,12 +372,8 @@ func streamOptions(ap harness.Approach) (rewrite.Options, error) {
 		return rewrite.Options{Mode: rewrite.ModeNaive}, nil
 	case harness.SeqPar:
 		return rewrite.Options{Mode: rewrite.ModeOptimized, Parallelism: harness.DefaultWorkers}, nil
-	case harness.SeqStream:
-		return rewrite.Options{Mode: rewrite.ModeOptimized, Sweep: rewrite.SweepStreaming}, nil
-	case harness.SeqParStream:
-		return rewrite.Options{Mode: rewrite.ModeOptimized, Sweep: rewrite.SweepStreaming, Parallelism: harness.DefaultWorkers}, nil
 	default:
-		return rewrite.Options{}, fmt.Errorf("approach %s has no streaming pipeline (valid here: seq, seq-naive, seq-par, seq-stream, par-stream)", ap)
+		return rewrite.Options{}, fmt.Errorf("approach %s has no streaming pipeline (valid here: seq, seq-naive, seq-par)", ap)
 	}
 }
 

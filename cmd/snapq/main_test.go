@@ -49,14 +49,12 @@ func TestRunHelpPrintsUsage(t *testing.T) {
 
 func TestParseApproach(t *testing.T) {
 	cases := map[string]harness.Approach{
-		"seq":        harness.Seq,
-		"seq-naive":  harness.SeqNaive,
-		"seq-mat":    harness.SeqMat,
-		"seq-par":    harness.SeqPar,
-		"seq-stream": harness.SeqStream,
-		"par-stream": harness.SeqParStream,
-		"nat-ip":     harness.NatIP,
-		"nat-align":  harness.NatAlign,
+		"seq":       harness.Seq,
+		"seq-naive": harness.SeqNaive,
+		"seq-mat":   harness.SeqMat,
+		"seq-par":   harness.SeqPar,
+		"nat-ip":    harness.NatIP,
+		"nat-align": harness.NatAlign,
 	}
 	for s, want := range cases {
 		got, err := parseApproach(s)
@@ -71,7 +69,7 @@ func TestParseApproach(t *testing.T) {
 		t.Fatal("expected error for unknown approach")
 	} else {
 		// The diagnostic must list the valid choices.
-		for _, name := range []string{"seq", "seq-par", "par-stream", "nat-align"} {
+		for _, name := range []string{"seq", "seq-mat", "seq-par", "nat-align"} {
 			if !strings.Contains(err.Error(), name) {
 				t.Fatalf("approach error does not list %q: %v", name, err)
 			}
@@ -79,14 +77,13 @@ func TestParseApproach(t *testing.T) {
 	}
 }
 
-// TestDiffApproachesAgree pins the streaming-difference approach
-// coverage end to end through the CLI: the diff workload query under
-// seq (auto sweeps), seq-stream (forced streaming merge diff behind
-// sort enforcers) and par-stream (per-worker streaming diffs over the
-// ordered repartition) must print the identical sorted result.
+// TestDiffApproachesAgree pins the difference end to end through the
+// CLI: the diff workload query under seq (the sequential sweep),
+// seq-mat (the materializing executor) and seq-par (per-worker sweeps
+// over the hash repartition) must print the identical sorted result.
 func TestDiffApproachesAgree(t *testing.T) {
 	outputs := map[string]string{}
-	for _, ap := range []string{"seq", "seq-mat", "seq-stream", "par-stream"} {
+	for _, ap := range []string{"seq", "seq-mat", "seq-par"} {
 		var out, errb bytes.Buffer
 		code := run([]string{"-data", "employees", "-scale", "0.1", "-query", "diff-1", "-approach", ap, "-limit", "0"}, &out, &errb)
 		if code != 0 {
@@ -105,19 +102,26 @@ func TestDiffApproachesAgree(t *testing.T) {
 }
 
 func TestStreamOptions(t *testing.T) {
-	opt, err := streamOptions(harness.SeqStream)
+	opt, err := streamOptions(harness.Seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opt.Sweep != rewrite.SweepStreaming {
-		t.Fatalf("seq-stream must force streaming sweeps, got %+v", opt)
+	if opt.Mode != rewrite.ModeOptimized || opt.Parallelism > 1 {
+		t.Fatalf("seq must run the optimized plan sequentially, got %+v", opt)
 	}
-	ps, err := streamOptions(harness.SeqParStream)
+	naive, err := streamOptions(harness.SeqNaive)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ps.Sweep != rewrite.SweepStreaming || ps.Parallelism < 2 {
-		t.Fatalf("par-stream must force streaming sweeps on the parallel executor, got %+v", ps)
+	if naive.Mode != rewrite.ModeNaive {
+		t.Fatalf("seq-naive must run the naive plan, got %+v", naive)
+	}
+	ps, err := streamOptions(harness.SeqPar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ps.Parallelism < 2 {
+		t.Fatalf("seq-par must run on the parallel executor, got %+v", ps)
 	}
 	if _, err := streamOptions(harness.NatIP); err == nil {
 		t.Fatal("native baselines have no streaming form; expected error")
@@ -128,7 +132,7 @@ func TestStreamOptions(t *testing.T) {
 // text through the full run path.
 func TestRunFactoryQueryAcrossApproaches(t *testing.T) {
 	var want string
-	for _, ap := range []string{"seq", "seq-mat", "seq-par", "seq-stream", "par-stream"} {
+	for _, ap := range []string{"seq", "seq-mat", "seq-par"} {
 		var out, errb bytes.Buffer
 		code := run([]string{
 			"-data", "factory", "-approach", ap,
@@ -164,11 +168,15 @@ func TestRunExplainPrintsPlan(t *testing.T) {
 	if strings.Contains(out.String(), "Coalesce") {
 		t.Fatalf("explain output has a coalesce above the aggregation:\n%s", out.String())
 	}
-	// The annotated tree: sweep modes, sequential placement, registry.
-	for _, want := range []string{"sweep=", "{sequential", "process: queries="} {
+	// The annotated tree: estimates, sequential placement, registry —
+	// and no sweep-form annotation, since each sweep has one form.
+	for _, want := range []string{"est_rows=", "{sequential", "process: queries="} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("explain output lacks %q:\n%s", want, out.String())
 		}
+	}
+	if strings.Contains(out.String(), "sweep=") {
+		t.Fatalf("explain output still annotates a sweep form:\n%s", out.String())
 	}
 }
 
@@ -301,13 +309,13 @@ func TestRunAnalyzeWithTrace(t *testing.T) {
 	trace := filepath.Join(dir, "trace.json")
 	var out, errb bytes.Buffer
 	code := run([]string{
-		"-data", "factory", "-approach", "par-stream", "-analyze", "-trace", trace,
+		"-data", "factory", "-approach", "seq-par", "-analyze", "-trace", trace,
 		"-sql", "SEQ VT (SELECT count(*) AS cnt FROM works WHERE skill = 'SP')",
 	}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
-	for _, want := range []string{"EXPLAIN ANALYZE", "Agg [streaming]", "rows=", "(7 rows)", "process: queries=1"} {
+	for _, want := range []string{"EXPLAIN ANALYZE", "Agg [pre-agg]", "Exchange:", "rows=", "(7 rows)", "process: queries=1"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("analyze output lacks %q:\n%s", want, out.String())
 		}
@@ -385,8 +393,8 @@ func TestRunCSVOut(t *testing.T) {
 }
 
 // The process: line reports what ran: -explain plans without running, so
-// it leaves the registry unchanged, and -analyze counts its one query and
-// exactly the rows it returned.
+// it leaves the registry unchanged, and -analyze counts its one query,
+// exactly the rows it returned and its one sweep (the aggregation).
 func TestRunProcessLineCountsExecution(t *testing.T) {
 	sql := "SEQ VT (SELECT count(*) AS cnt FROM works WHERE skill = 'SP')"
 	before := obs.Default.Snapshot()
@@ -402,7 +410,7 @@ func TestRunProcessLineCountsExecution(t *testing.T) {
 		t.Fatalf("-analyze: exit %d, stderr: %s", code, errb.String())
 	}
 	after := obs.Default.Snapshot()
-	if after.QueriesRun-before.QueriesRun != 1 || after.RowsEmitted-before.RowsEmitted != 7 {
+	if after.QueriesRun-before.QueriesRun != 1 || after.RowsEmitted-before.RowsEmitted != 7 || after.Sweeps-before.Sweeps != 1 {
 		t.Fatalf("-analyze of a 7-row query moved the registry from %s to %s", before, after)
 	}
 	if !strings.Contains(out.String(), "(7 rows)\nprocess: "+after.String()) {

@@ -1,5 +1,5 @@
 // The chaos grid: qgen-generated queries run across the executor grid
-// (sequential / parallel × sweep modes) under deterministic fault
+// (sequential / parallel) under deterministic fault
 // injection, asserting the fault-domain invariants — no panic escapes
 // the query, no fragment goroutine leaks, a stream that ends without an
 // error is the complete result (no silent truncation), and every
@@ -83,56 +83,53 @@ func TestChaosGrid(t *testing.T) {
 		}
 		sort.Strings(baseline)
 		for _, par := range []int{0, 2, 4} {
-			for _, sw := range []rewrite.SweepMode{rewrite.SweepAuto, rewrite.SweepStreaming} {
-				for seed := int64(0); seed < 3; seed++ {
-					base := runtime.NumGoroutine()
-					ctx, cancel := context.WithCancel(context.Background())
-					inj := chaos.New(chaos.Config{
-						Seed:       int64(i)<<8 | seed,
-						ErrRate:    0.15,
-						PanicRate:  0.10,
-						DelayRate:  0.10,
-						CancelRate: 0.05,
-						OnCancel:   cancel,
-					})
-					it, err := rewrite.Stream(ctx, edb, q, rewrite.Options{
-						Mode:        rewrite.ModeOptimized,
-						Sweep:       sw,
-						Parallelism: par,
-						Inject:      inj.Wrapper(),
-					})
-					if err != nil {
-						// A fault firing during plan build (eager join builds,
-						// sort enforcers) surfaces as a construction error —
-						// legal, but it must be a recognized one.
-						if !recognized(err) {
-							t.Fatalf("par=%d sweep=%v seed=%d: unrecognized build error %v (%s)", par, sw, seed, err, q)
-						}
-						cancel()
-						waitForGoroutines(t, base)
-						continue
+			for seed := int64(0); seed < 3; seed++ {
+				base := runtime.NumGoroutine()
+				ctx, cancel := context.WithCancel(context.Background())
+				inj := chaos.New(chaos.Config{
+					Seed:       int64(i)<<8 | seed,
+					ErrRate:    0.15,
+					PanicRate:  0.10,
+					DelayRate:  0.10,
+					CancelRate: 0.05,
+					OnCancel:   cancel,
+				})
+				it, err := rewrite.Stream(ctx, edb, q, rewrite.Options{
+					Mode:        rewrite.ModeOptimized,
+					Parallelism: par,
+					Inject:      inj.Wrapper(),
+				})
+				if err != nil {
+					// A fault firing during plan build (eager join builds,
+					// sort enforcers) surfaces as a construction error —
+					// legal, but it must be a recognized one.
+					if !recognized(err) {
+						t.Fatalf("par=%d seed=%d: unrecognized build error %v (%s)", par, seed, err, q)
 					}
-					got, streamErr := drainKeys(t, it)
-					it.Close()
-					it.Close() // idempotent under injection too
 					cancel()
-					if streamErr == nil {
-						// No error means the complete result: silent truncation
-						// is the one unforgivable outcome.
-						if len(got) != len(baseline) {
-							t.Fatalf("par=%d sweep=%v seed=%d: clean stream with %d rows, baseline %d (%s)",
-								par, sw, seed, len(got), len(baseline), q)
-						}
-						for j := range got {
-							if got[j] != baseline[j] {
-								t.Fatalf("par=%d sweep=%v seed=%d: clean stream diverges from baseline at %d (%s)", par, sw, seed, j, q)
-							}
-						}
-					} else if !recognized(streamErr) {
-						t.Fatalf("par=%d sweep=%v seed=%d: unrecognized stream error %v (%s)", par, sw, seed, streamErr, q)
-					}
 					waitForGoroutines(t, base)
+					continue
 				}
+				got, streamErr := drainKeys(t, it)
+				it.Close()
+				it.Close() // idempotent under injection too
+				cancel()
+				if streamErr == nil {
+					// No error means the complete result: silent truncation
+					// is the one unforgivable outcome.
+					if len(got) != len(baseline) {
+						t.Fatalf("par=%d seed=%d: clean stream with %d rows, baseline %d (%s)",
+							par, seed, len(got), len(baseline), q)
+					}
+					for j := range got {
+						if got[j] != baseline[j] {
+							t.Fatalf("par=%d seed=%d: clean stream diverges from baseline at %d (%s)", par, seed, j, q)
+						}
+					}
+				} else if !recognized(streamErr) {
+					t.Fatalf("par=%d seed=%d: unrecognized stream error %v (%s)", par, seed, streamErr, q)
+				}
+				waitForGoroutines(t, base)
 			}
 		}
 	}

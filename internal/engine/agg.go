@@ -43,8 +43,8 @@ func TemporalAggregate(in *Table, groupBy []string, aggs []algebra.AggSpec, preA
 
 // aggPrep is the compiled form of an aggregation spec: resolved group
 // and argument column indices plus the output period schema. It is
-// shared by the blocking sweep, the naive split implementation and the
-// streaming aggregation iterator.
+// shared by the pre-aggregated sweep and the naive split
+// implementation.
 type aggPrep struct {
 	groupIdx []int
 	argIdx   []int

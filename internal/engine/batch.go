@@ -7,7 +7,8 @@ import "snapk/internal/tuple"
 // slice of row references with capacity/length discipline; BatchIter is
 // the amortized sibling of RowIter. Operators that can amortize work
 // per batch — table and morsel scans, Filter, Project, the hash-join
-// probe, the three streaming sweeps and every exchange — implement BOTH
+// probe, the re-emitted results of the blocking operators and every
+// exchange — implement BOTH
 // interfaces, so a consumer that calls NextBatch drives the whole chain
 // batch-at-a-time (one virtual call per batch per operator boundary)
 // while per-row consumers keep working unchanged. The two adapters

@@ -12,6 +12,7 @@ import (
 	"snapk/internal/algebra"
 	"snapk/internal/engine"
 	"snapk/internal/interval"
+	"snapk/internal/krel"
 	"snapk/internal/tuple"
 )
 
@@ -99,7 +100,7 @@ func TestNextBatchEmptyInput(t *testing.T) {
 	db := batchDB(0)
 	plans := []engine.Plan{
 		engine.ScanP{Name: "t"},
-		engine.CoalesceP{In: engine.SortP{In: engine.ScanP{Name: "t"}}, Streaming: true},
+		engine.CoalesceP{In: engine.SortP{In: engine.ScanP{Name: "t"}}},
 	}
 	for _, p := range plans {
 		it, err := db.ExecStream(p)
@@ -196,18 +197,22 @@ func TestAdapterRoundTrip(t *testing.T) {
 	}
 }
 
-// Batch drive of the streaming sweeps must match their per-row drive
-// as a multiset (the sweeps' end-of-input flush walks a map, so tail
-// order is unspecified) at awkward batch sizes — 1 and a non-divisor
-// of the internal queue lengths.
+// Batch drive of the sweeps and the sort enforcer must match their
+// per-row drive as a multiset at awkward batch sizes — 1 and a
+// non-divisor of the default batch size.
 func TestSweepBatchDriveMatchesPerRow(t *testing.T) {
 	db := batchDB(137)
 	plans := []engine.Plan{
-		engine.CoalesceP{In: engine.SortP{In: engine.ScanP{Name: "t"}}, Streaming: true},
+		engine.CoalesceP{In: engine.SortP{In: engine.ScanP{Name: "t"}}},
 		engine.DiffP{
-			L:         engine.SortP{In: engine.ScanP{Name: "t"}},
-			R:         engine.SortP{In: engine.FilterP{Pred: algebra.Lt(algebra.Col("v"), algebra.IntC(40)), In: engine.ScanP{Name: "t"}}},
-			Streaming: true,
+			L: engine.ScanP{Name: "t"},
+			R: engine.FilterP{Pred: algebra.Lt(algebra.Col("v"), algebra.IntC(40)), In: engine.ScanP{Name: "t"}},
+		},
+		engine.AggP{
+			GroupBy: []string{"v"},
+			Aggs:    []algebra.AggSpec{{Fn: krel.CountStar, As: "cnt"}},
+			PreAgg:  true,
+			In:      engine.ScanP{Name: "t"},
 		},
 	}
 	for _, p := range plans {

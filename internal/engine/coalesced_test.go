@@ -25,10 +25,8 @@ func TestCoalescedRules(t *testing.T) {
 		want bool
 	}{
 		{"pre-aggregated split", agg, true},
-		{"streaming pre-aggregated split", AggP{Aggs: cnt, PreAgg: true, Streaming: true, In: scan}, true},
 		{"naive split", AggP{GroupBy: []string{"g"}, Aggs: cnt, In: scan}, false},
 		{"difference", diff, true},
-		{"streaming difference", DiffP{L: scan, R: scan, Streaming: true}, true},
 		{"scan", scan, false},
 		{"union", UnionP{L: agg, R: agg}, false},
 		{"join", JoinP{L: agg, R: agg, Pred: algebra.BoolC(true)}, false},

@@ -18,25 +18,35 @@ func diffTable(rows ...[4]int64) *engine.Table {
 	return t
 }
 
-// streamDiff runs the streaming difference over begin-sorted copies of
-// l and r and materializes the result.
+// diffDB registers l and r under those names.
+func diffDB(l, r *engine.Table) *engine.DB {
+	db := engine.NewDB(fuzzDomain)
+	db.AddTable("l", l)
+	db.AddTable("r", r)
+	return db
+}
+
+// streamDiff runs l − r through the streaming executor and materializes
+// the result.
 func streamDiff(t *testing.T, l, r *engine.Table) *engine.Table {
 	t.Helper()
-	ls, rs := l.Clone(), r.Clone()
-	ls.SortByEndpoints()
-	rs.SortByEndpoints()
-	it, err := engine.NewStreamDiffIter(engine.NewTableIter(ls), engine.NewTableIter(rs))
+	it, err := diffDB(l, r).ExecStream(engine.DiffP{L: engine.ScanP{Name: "l"}, R: engine.ScanP{Name: "r"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer it.Close()
-	return engine.Materialize(it)
+	out, err := engine.MaterializeErr(it)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
-// TestStreamDiffMatchesBlocking pins the streaming merge sweep to the
-// blocking TemporalDiff multiset on handcrafted shapes: monus
-// truncation, zero-net-delta boundaries, duplicates, right-only groups,
-// same-instant begin/end cancellation and empty sides.
+// TestStreamDiffMatchesBlocking pins the difference, run through the
+// streaming executor, to the per-time-point ℕ-monus oracle and to the
+// unique encoding on handcrafted shapes: monus truncation,
+// zero-net-delta boundaries, duplicates, right-only groups, same-instant
+// begin/end cancellation and empty sides.
 func TestStreamDiffMatchesBlocking(t *testing.T) {
 	cases := []struct {
 		name string
@@ -56,54 +66,22 @@ func TestStreamDiffMatchesBlocking(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			want, err := engine.TemporalDiff(c.l, c.r)
-			if err != nil {
-				t.Fatal(err)
-			}
 			got := streamDiff(t, c.l, c.r)
-			if !sameCounts(multisetKeys(want), multisetKeys(got)) {
-				t.Fatalf("streaming diff diverges from blocking:\nleft:\n%s\nright:\n%s\nwant:\n%s\ngot:\n%s", c.l, c.r, want, got)
+			if !sameCounts(monusTimePointCounts(c.l, c.r), timePointCounts(got)) {
+				t.Fatalf("difference violates the per-time-point monus oracle:\nleft:\n%s\nright:\n%s\ngot:\n%s", c.l, c.r, got)
+			}
+			if !engine.IsCoalesced(got, engine.CoalesceNative) {
+				t.Fatalf("difference is not the unique encoding:\nleft:\n%s\nright:\n%s\ngot:\n%s", c.l, c.r, got)
 			}
 		})
 	}
 }
 
-// TestStreamDiffUnsortedInputPanics: the planner contract says both
-// inputs arrive begin-sorted; violations must be loud.
-func TestStreamDiffUnsortedInputPanics(t *testing.T) {
-	for _, side := range []string{"left", "right"} {
-		sorted := diffTable([4]int64{1, 0, 5, 1}, [4]int64{1, 3, 8, 1})
-		unsorted := diffTable([4]int64{1, 6, 9, 1}, [4]int64{1, 2, 4, 1})
-		l, r := sorted, unsorted
-		if side == "left" {
-			l, r = unsorted, sorted
-		}
-		it, err := engine.NewStreamDiffIter(engine.NewTableIter(l), engine.NewTableIter(r))
-		if err != nil {
-			t.Fatal(err)
-		}
-		func() {
-			defer it.Close()
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s input out of order must panic", side)
-				}
-			}()
-			for {
-				if _, ok := it.Next(); !ok {
-					break
-				}
-			}
-		}()
-	}
-}
-
-// TestStreamDiffArityMismatch: incompatible inputs error up front and
-// both children are closed.
+// TestStreamDiffArityMismatch: incompatible inputs error up front.
 func TestStreamDiffArityMismatch(t *testing.T) {
 	l := engine.NewTable(tuple.NewSchema("a"))
 	r := engine.NewTable(tuple.NewSchema("a", "b"))
-	if _, err := engine.NewStreamDiffIter(engine.NewTableIter(l), engine.NewTableIter(r)); err == nil {
+	if _, err := diffDB(l, r).ExecStream(engine.DiffP{L: engine.ScanP{Name: "l"}, R: engine.ScanP{Name: "r"}}); err == nil {
 		t.Fatal("arity mismatch must error")
 	}
 }
@@ -146,9 +124,10 @@ func TestTemporalDiffDeterministicOrder(t *testing.T) {
 	}
 }
 
-// TestStreamDiffDeterministicOrder: the streaming difference must also
-// stream identical row order run to run, including the end-of-input
-// flush (first-seen group order, not map order).
+// TestStreamDiffDeterministicOrder: the difference must also reach the
+// cursor of the streaming executor in identical row order run to run,
+// with many groups still open at the end of the sweep (first-seen group
+// order, not map order).
 func TestStreamDiffDeterministicOrder(t *testing.T) {
 	l := engine.NewTable(tuple.NewSchema("v"))
 	r := engine.NewTable(tuple.NewSchema("v"))
@@ -169,50 +148,8 @@ func TestStreamDiffDeterministicOrder(t *testing.T) {
 		}
 		for i := range got.Rows {
 			if got.Rows[i].Key() != ref.Rows[i].Key() {
-				t.Fatalf("run %d: row %d = %v, want %v — streaming diff output order is nondeterministic", run, i, got.Rows[i], ref.Rows[i])
+				t.Fatalf("run %d: row %d = %v, want %v — streamed diff output order is nondeterministic", run, i, got.Rows[i], ref.Rows[i])
 			}
 		}
-	}
-}
-
-// countingIter counts the rows pulled through it.
-type countingIter struct {
-	engine.RowIter
-	n *int
-}
-
-func (it countingIter) Next() (tuple.Tuple, bool) {
-	row, ok := it.RowIter.Next()
-	if ok {
-		*it.n++
-	}
-	return row, ok
-}
-
-// TestStreamDiffEmitsIncrementally: the streaming difference must
-// produce output long before either input is drained — the observable
-// face of "no materialization".
-func TestStreamDiffEmitsIncrementally(t *testing.T) {
-	const groups = 1000
-	l := engine.NewTable(tuple.NewSchema("v"))
-	r := engine.NewTable(tuple.NewSchema("v"))
-	for i := int64(0); i < groups; i++ {
-		l.Append(tuple.Tuple{tuple.Int(i)}, interval.New(i*10, i*10+6), 1)
-		r.Append(tuple.Tuple{tuple.Int(i)}, interval.New(i*10+2, i*10+4), 1)
-	}
-	var ln, rn int
-	it, err := engine.NewStreamDiffIter(
-		countingIter{engine.NewTableIter(l), &ln},
-		countingIter{engine.NewTableIter(r), &rn},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	if _, ok := it.Next(); !ok {
-		t.Fatal("difference is empty")
-	}
-	if ln+rn > 20 {
-		t.Fatalf("first output row only after %d+%d input rows — the sweep is buffering, not streaming", ln, rn)
 	}
 }

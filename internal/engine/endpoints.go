@@ -10,8 +10,8 @@ import (
 
 // This file is the single source of truth for interval-endpoint order
 // over period-encoded rows. Every operator that sorts by or relies on
-// endpoint order — the sort enforcer, the streaming sweeps, the overlap
-// join, Table.Sort and IsCoalesced — goes through these helpers, so the
+// endpoint order — the sort enforcer, the sweeps, the overlap join,
+// Table.Sort and IsCoalesced — goes through these helpers, so the
 // sort semantics cannot drift between per-file copies.
 
 // CompareEndpoints compares two period rows by (begin, end), the
@@ -69,8 +69,8 @@ func SortRowsByEndpoints(rows []tuple.Tuple) {
 }
 
 // RowsBeginSorted reports whether rows are already ordered by ascending
-// interval begin — the physical property the streaming sweep operators
-// require of their input.
+// interval begin — the property Table.BeginSorted caches and window
+// pruning relies on.
 func RowsBeginSorted(rows []tuple.Tuple) bool {
 	for i := 1; i < len(rows); i++ {
 		if rowInterval(rows[i]).Begin < rowInterval(rows[i-1]).Begin {

@@ -10,8 +10,8 @@ import (
 // This file is the static EXPLAIN side of the observability layer: a
 // plan walker producing a tree isomorphic to the physical plan (one
 // ExplainNode per plan node, children in input order), annotated with
-// everything the planner decided — sweep mode, sort property, estimated
-// rows, operator strategy. Parallel fragment/exchange placement is
+// everything the planner decided — estimated rows and operator
+// strategy. Parallel fragment/exchange placement is
 // filled in by parallel.AnnotatePlacement, which mirrors the executor's
 // build() branching over the same tree; the runtime counters of EXPLAIN
 // ANALYZE live in obs.go.
@@ -22,19 +22,11 @@ type ExplainNode struct {
 	// (predicate summary, table name, join strategy).
 	Op     string
 	Detail string
-	// Mode is the sweep mode of coalesce/aggregate/difference nodes:
-	// "streaming" (input order guaranteed by the data), "enforced"
-	// (streaming behind an inserted sort enforcer), or "blocking" (the
-	// materializing sweep). Empty for non-sweep operators.
-	Mode string
-	// Ordered reports the interval-endpoint sort property of the node's
-	// output — the physical property driving sweep-mode selection.
-	Ordered bool
 	// EstRows is the statically known output cardinality, -1 when the
 	// planner cannot bound it.
 	EstRows int64
 	// Placement describes parallel execution placement ("morsel scan ×4",
-	// "sequential", "fragments ×4 via ordered-partition"); filled by
+	// "sequential", "fragments ×4 via partition"); filled by
 	// parallel.AnnotatePlacement, empty for purely sequential EXPLAIN.
 	Placement string
 	Children  []*ExplainNode
@@ -44,10 +36,7 @@ type ExplainNode struct {
 // isomorphic to the plan (one node per plan node, children in L,R /
 // input order), which parallel.AnnotatePlacement relies on.
 func (db *DB) ExplainPlan(p Plan) *ExplainNode {
-	n := &ExplainNode{
-		Ordered: db.BeginOrdered(p),
-		EstRows: db.EstimateRows(p),
-	}
+	n := &ExplainNode{EstRows: db.EstimateRows(p)}
 	switch t := p.(type) {
 	case ScanP:
 		n.Op, n.Detail = "Scan", t.Name
@@ -70,7 +59,6 @@ func (db *DB) ExplainPlan(p Plan) *ExplainNode {
 		n.Children = []*ExplainNode{db.ExplainPlan(t.L), db.ExplainPlan(t.R)}
 	case DiffP:
 		n.Op = "Diff"
-		n.Mode = sweepMode(t.Streaming, t.L, t.R)
 		n.Children = []*ExplainNode{db.ExplainPlan(t.L), db.ExplainPlan(t.R)}
 	case AggP:
 		n.Op = "Agg"
@@ -78,11 +66,9 @@ func (db *DB) ExplainPlan(p Plan) *ExplainNode {
 		if t.PreAgg {
 			n.Detail += " pre-agg"
 		}
-		n.Mode = sweepMode(t.Streaming && t.PreAgg, t.In)
 		n.Children = []*ExplainNode{db.ExplainPlan(t.In)}
 	case CoalesceP:
 		n.Op = "Coalesce"
-		n.Mode = sweepMode(t.Streaming, t.In)
 		n.Children = []*ExplainNode{db.ExplainPlan(t.In)}
 	case SortP:
 		n.Op, n.Detail = "Sort", "endpoint enforcer"
@@ -97,21 +83,6 @@ func (db *DB) ExplainPlan(p Plan) *ExplainNode {
 		n.Op = fmt.Sprintf("%T", p)
 	}
 	return n
-}
-
-// sweepMode classifies a sweep operator: blocking, streaming, or
-// enforced — streaming whose order guarantee comes from an inserted
-// sort enforcer on (any of) its input(s) rather than from the data.
-func sweepMode(streaming bool, inputs ...Plan) string {
-	if !streaming {
-		return "blocking"
-	}
-	for _, in := range inputs {
-		if _, ok := in.(SortP); ok {
-			return "enforced"
-		}
-	}
-	return "streaming"
 }
 
 // explainJoinDetail reports the join strategy the executors will pick:
@@ -233,12 +204,6 @@ func (n *ExplainNode) line() string {
 	b.WriteString(n.Op)
 	if n.Detail != "" {
 		fmt.Fprintf(&b, " [%s]", n.Detail)
-	}
-	if n.Mode != "" {
-		fmt.Fprintf(&b, " sweep=%s", n.Mode)
-	}
-	if n.Ordered {
-		b.WriteString(" ordered")
 	}
 	if n.EstRows >= 0 {
 		fmt.Fprintf(&b, " est_rows=%d", n.EstRows)

@@ -1,5 +1,5 @@
-// Shape tests of the static EXPLAIN tree: plan isomorphism, sweep-mode
-// classification, join strategy detail and the rendered text.
+// Shape tests of the static EXPLAIN tree: plan isomorphism, join
+// strategy detail and the rendered text.
 package engine_test
 
 import (
@@ -13,8 +13,7 @@ import (
 	"snapk/internal/tuple"
 )
 
-// explainDB holds one unsorted and one begin-sorted table, so the same
-// plan explains as blocking over one and streaming over the other.
+// explainDB holds two small tables sharing the join key k.
 func explainDB() *engine.DB {
 	db := engine.NewDB(interval.NewDomain(0, 100))
 	un := db.CreateTable("un", tuple.NewSchema("k", "v"))
@@ -27,35 +26,30 @@ func explainDB() *engine.DB {
 	return db
 }
 
-func TestExplainSweepModes(t *testing.T) {
+// Each sweep explains as one node with one child per input, and the
+// scans beneath it estimate their stored cardinality.
+func TestExplainSweepNodes(t *testing.T) {
 	db := explainDB()
+	scan := engine.ScanP{Name: "un"}
 	cases := []struct {
-		name string
 		plan engine.Plan
-		mode string
+		op   string
+		kids int
 	}{
-		{"blocking over unsorted", engine.CoalesceP{In: engine.ScanP{Name: "un"}}, "blocking"},
-		{"enforced behind sort", engine.CoalesceP{In: engine.SortP{In: engine.ScanP{Name: "un"}}, Streaming: true}, "enforced"},
-		{"streaming over sorted", engine.CoalesceP{In: engine.ScanP{Name: "so"}, Streaming: true}, "streaming"},
+		{engine.CoalesceP{In: scan}, "Coalesce", 1},
+		{engine.AggP{Aggs: []algebra.AggSpec{{Fn: krel.CountStar, As: "cnt"}}, PreAgg: true, In: scan}, "Agg", 1},
+		{engine.DiffP{L: scan, R: scan}, "Diff", 2},
 	}
 	for _, c := range cases {
 		n := db.ExplainPlan(c.plan)
-		if n.Op != "Coalesce" || n.Mode != c.mode {
-			t.Fatalf("%s: got op=%q mode=%q, want Coalesce/%s", c.name, n.Op, n.Mode, c.mode)
+		if n.Op != c.op || len(n.Children) != c.kids {
+			t.Fatalf("%s: got op=%q with %d children, want %s with %d", c.plan, n.Op, len(n.Children), c.op, c.kids)
 		}
-		if len(n.Children) != 1 {
-			t.Fatalf("%s: explain tree not isomorphic to the plan: %+v", c.name, n)
+		for _, k := range n.Children {
+			if k.Op != "Scan" || k.EstRows != 20 {
+				t.Fatalf("%s: input %+v must be the scan with est_rows=20", c.plan, k)
+			}
 		}
-	}
-	// The sort property must be reported on the nodes that carry it.
-	if db.ExplainPlan(engine.ScanP{Name: "un"}).Ordered {
-		t.Fatal("unsorted scan must not report the order property")
-	}
-	if !db.ExplainPlan(engine.ScanP{Name: "so"}).Ordered {
-		t.Fatal("begin-sorted scan must report the order property")
-	}
-	if db.ExplainPlan(engine.ScanP{Name: "so"}).EstRows != 20 {
-		t.Fatal("scan must estimate its stored cardinality")
 	}
 }
 
@@ -108,9 +102,6 @@ func TestExplainWindowNode(t *testing.T) {
 	if len(n.Children) != 1 || n.Children[0].Op != "Scan" {
 		t.Fatalf("window must have the scan child: %+v", n)
 	}
-	if !n.Ordered {
-		t.Fatal("clip over a begin-sorted scan preserves the order property")
-	}
 	pruned := db.ExplainPlan(engine.WindowP{T: T, In: engine.ScanP{Name: "so"}, Prune: true})
 	if !strings.Contains(pruned.Detail, "prune") {
 		t.Fatalf("pruned window must render the prune annotation, got %q", pruned.Detail)
@@ -155,17 +146,19 @@ func TestExplainRender(t *testing.T) {
 	db := explainDB()
 	plan := engine.CoalesceP{
 		In: engine.AggP{
-			GroupBy:   []string{"k"},
-			Aggs:      []algebra.AggSpec{{Fn: krel.CountStar, As: "cnt"}},
-			PreAgg:    true,
-			Streaming: true,
-			In:        engine.SortP{In: engine.FilterP{Pred: algebra.Gt(algebra.Col("v"), algebra.IntC(3)), In: engine.ScanP{Name: "un"}}},
+			GroupBy: []string{"k"},
+			Aggs:    []algebra.AggSpec{{Fn: krel.CountStar, As: "cnt"}},
+			PreAgg:  true,
+			In:      engine.SortP{In: engine.FilterP{Pred: algebra.Gt(algebra.Col("v"), algebra.IntC(3)), In: engine.ScanP{Name: "un"}}},
 		},
 	}
 	out := db.ExplainPlan(plan).Render()
+	if strings.Contains(out, "sweep=") || strings.Contains(out, "ordered") {
+		t.Fatalf("EXPLAIN must not annotate a sweep form or order property:\n%s", out)
+	}
 	for _, want := range []string{
-		"Coalesce sweep=blocking",
-		"Agg [group_by=[k] pre-agg] sweep=enforced",
+		"Coalesce est_rows=",
+		"Agg [group_by=[k] pre-agg] est_rows=",
 		"Sort [endpoint enforcer]",
 		"Filter [",
 		"Scan [un]",

@@ -111,8 +111,8 @@ var (
 	// configured row limit.
 	ErrRowLimit = errors.New("engine: query row limit exceeded")
 	// ErrMemBudget terminates a query whose tracked operator state
-	// (sweep open intervals and active groups, hash-join build side,
-	// ordered-exchange queue depth) exceeded the configured budget.
+	// (rows materialized by blocking sweeps and sort enforcers, the
+	// hash-join build side) exceeded the configured budget.
 	ErrMemBudget = errors.New("engine: query memory budget exceeded")
 )
 
@@ -127,11 +127,11 @@ type Limits struct {
 	// cursor; exceeding it ends the query with ErrRowLimit. Zero
 	// disables.
 	RowLimit int64
-	// MemBudget bounds the bytes of tracked operator state — streaming
-	// sweep state (the max_state accounting EXPLAIN ANALYZE reports),
-	// hash-join build sides, and ordered-exchange queue depth —
-	// charged through ApproxRowBytes estimates. Exceeding it ends the
-	// query with ErrMemBudget. Zero disables.
+	// MemBudget bounds the bytes of tracked operator state — the rows
+	// each blocking sweep and sort enforcer materializes (the max_state
+	// EXPLAIN ANALYZE reports) and hash-join build sides — charged
+	// through ApproxRowBytes estimates. Exceeding it ends the query with
+	// ErrMemBudget. Zero disables.
 	MemBudget int64
 }
 
@@ -180,9 +180,10 @@ func (g *Governor) CountRows(n int64) error {
 }
 
 // ChargeMem charges n bytes of tracked operator state and returns
-// ErrMemBudget once the outstanding total exceeds the budget. The
-// charge sticks even on error, so concurrent charge sites observe the
-// breach consistently; a query over budget is terminating anyway.
+// ErrMemBudget once the query's total exceeds the budget. Charges are
+// never released, so the budget bounds the total a query materializes —
+// an upper bound on its peak — and a charge sticks even on error, so
+// concurrent charge sites observe the breach consistently.
 func (g *Governor) ChargeMem(n int64) error {
 	if g == nil || g.lim.MemBudget <= 0 {
 		return nil
@@ -191,24 +192,6 @@ func (g *Governor) ChargeMem(n int64) error {
 		return ErrMemBudget
 	}
 	return nil
-}
-
-// ReleaseMem returns n bytes of tracked state (a drained exchange
-// queue batch, a closed operator's state).
-func (g *Governor) ReleaseMem(n int64) {
-	if g == nil || g.lim.MemBudget <= 0 {
-		return
-	}
-	g.mem.Add(-n)
-}
-
-// MemInUse returns the currently outstanding tracked bytes (0 on a nil
-// governor); exposed for tests and diagnostics.
-func (g *Governor) MemInUse() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.mem.Load()
 }
 
 // ApproxRowBytes estimates the in-memory footprint of one period row
@@ -288,111 +271,4 @@ func (it *ctxBatchIter) NextBatch(b *RowBatch) bool {
 		return false
 	}
 	return it.bin.NextBatch(b)
-}
-
-// GovernState wraps a sweep iterator with memory-budget accounting of
-// its peak state: the same open-interval/active-group count the
-// observability layer reports as max_state, priced at unitBytes per
-// unit. The charge is polled amortized — once per NextBatch, once per
-// ctxCheckEvery rows under per-row drive, and once at end of stream —
-// and released on Close. When in does not expose StateSizer (or gov is
-// nil) the input is returned unchanged.
-func GovernState(in RowIter, gov *Governor, unitBytes int64) RowIter {
-	sz, ok := in.(StateSizer)
-	if !ok || gov == nil {
-		return in
-	}
-	gi := govStateIter{in: in, sizer: sz, gov: gov, unit: unitBytes}
-	if bi, ok := in.(BatchIter); ok {
-		return &govStateBatchIter{govStateIter: gi, bin: bi}
-	}
-	return &gi
-}
-
-type govStateIter struct {
-	in      RowIter
-	sizer   StateSizer
-	gov     *Governor
-	unit    int64
-	charged int64 // state units charged so far (monotone: MaxState is a peak)
-	n       int
-	err     error
-	closed  bool
-}
-
-func (it *govStateIter) Schema() tuple.Schema { return it.in.Schema() }
-
-// MaxState forwards the StateSizer hook so EXPLAIN ANALYZE still sees
-// the sweep's peak state through the governor wrapper.
-func (it *govStateIter) MaxState() int64 { return it.sizer.MaxState() }
-
-// charge tops the charged amount up to the current peak state.
-func (it *govStateIter) charge() error {
-	cur := it.sizer.MaxState()
-	if cur > it.charged {
-		err := it.gov.ChargeMem((cur - it.charged) * it.unit)
-		it.charged = cur
-		return err
-	}
-	return nil
-}
-
-func (it *govStateIter) Next() (tuple.Tuple, bool) {
-	if it.err != nil {
-		return nil, false
-	}
-	it.n++
-	if it.n >= ctxCheckEvery {
-		it.n = 0
-		if err := it.charge(); err != nil {
-			it.err = err
-			return nil, false
-		}
-	}
-	row, ok := it.in.Next()
-	if !ok {
-		it.chargeAtEnd()
-	}
-	return row, ok
-}
-
-// chargeAtEnd charges the final peak state when the stream ends: a sweep
-// whose whole output falls between two polls must not finish over its
-// budget as a clean, complete result.
-func (it *govStateIter) chargeAtEnd() {
-	if err := it.charge(); err != nil && it.err == nil {
-		it.err = err
-	}
-}
-
-func (it *govStateIter) Close() {
-	if !it.closed {
-		it.closed = true
-		it.gov.ReleaseMem(it.charged * it.unit)
-	}
-	it.in.Close()
-}
-
-func (it *govStateIter) Err() error { return FirstErr(it.err, IterErr(it.in)) }
-
-type govStateBatchIter struct {
-	govStateIter
-	bin BatchIter
-}
-
-func (it *govStateBatchIter) NextBatch(b *RowBatch) bool {
-	if it.err != nil {
-		b.Reset()
-		return false
-	}
-	if err := it.charge(); err != nil {
-		it.err = err
-		b.Reset()
-		return false
-	}
-	if !it.bin.NextBatch(b) {
-		it.chargeAtEnd()
-		return false
-	}
-	return true
 }

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"testing"
 
-	"snapk/internal/algebra"
 	"snapk/internal/engine"
 	"snapk/internal/interval"
-	"snapk/internal/krel"
 	"snapk/internal/tuple"
 )
 
@@ -128,74 +126,59 @@ func monusTimePointCounts(l, r *engine.Table) map[string]int {
 	return counts
 }
 
-// FuzzStreamDiff differences the streaming merge-based temporal
-// difference against the blocking TemporalDiff oracle on arbitrary
-// interval-multiset pairs — the multisets must be identical row for
-// row, both the unique encoding with no boundary at a zero-net-delta
-// endpoint — and checks both against the naive per-time-point monus
-// oracle. The
-// seeds cover merge-order stress (same-instant begins on both sides)
-// and monus truncation (right side exceeding the left).
+// FuzzStreamDiff checks the temporal difference, run through the
+// streaming executor, against the naive per-time-point ℕ-monus oracle
+// on arbitrary interval-multiset pairs: the result must realize every
+// snapshot's monus and be the unique encoding (no boundary at a
+// zero-net-delta endpoint), under both per-row and batch drive. The
+// seeds cover same-instant begins on both sides and monus truncation
+// (right side exceeding the left).
 func FuzzStreamDiff(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 0, 9})
 	f.Add([]byte{0, 1, 0, 9, 1, 1, 2, 3})                         // simple overlap
 	f.Add([]byte{0, 1, 0, 4, 1, 1, 1, 10, 1, 1, 1, 10})           // monus truncation: right exceeds left
-	f.Add([]byte{0, 2, 5, 6, 1, 2, 5, 6, 0, 2, 5, 2, 1, 2, 8, 2}) // same-instant begins on both sides (merge order)
+	f.Add([]byte{0, 2, 5, 6, 1, 2, 5, 6, 0, 2, 5, 2, 1, 2, 8, 2}) // same-instant begins on both sides
 	f.Add([]byte{0, 3, 0, 4, 0, 3, 4, 4, 1, 3, 2, 4})             // adjacent left chain split by a right row
 	f.Add([]byte{1, 0, 0, 15, 1, 0, 3, 15})                       // right-only groups emit nothing
 	f.Fuzz(func(t *testing.T, data []byte) {
 		l, r := decodeFuzzPair(data)
-
-		want, err := engine.TemporalDiff(l, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Oracle: the blocking diff must realize the per-snapshot monus.
-		if wantPts, gotPts := monusTimePointCounts(l, r), timePointCounts(want); !sameCounts(wantPts, gotPts) {
-			t.Fatalf("blocking diff violates the per-time-point monus oracle\nleft:\n%s\nright:\n%s\noutput:\n%s", l, r, want)
-		}
-
-		ls, rs := l.Clone(), r.Clone()
-		ls.SortByEndpoints()
-		rs.SortByEndpoints()
-		it, err := engine.NewStreamDiffIter(engine.NewTableIter(ls), engine.NewTableIter(rs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Under -tags snapdebug this asserts the no-mutation contract at
-		// the operator itself, before the differential comparison runs.
-		it = engine.CheckNoAlias("streaming difference", it)
-		got := engine.Materialize(it)
-		it.Close()
-		if !sameCounts(multisetKeys(want), multisetKeys(got)) {
-			t.Fatalf("streaming diff diverges from blocking sweep\nleft:\n%s\nright:\n%s\nblocking:\n%s\nstreaming:\n%s", l, r, want, got)
-		}
-
-		// Batch drive at a deliberately awkward capacity: the NextBatch
-		// path through the same sweep (asserted by the batch-aware
-		// snapdebug wrappers under -tags snapdebug) must produce the
-		// identical multiset.
-		bit, err := engine.NewStreamDiffIter(engine.NewTableIter(ls), engine.NewTableIter(rs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		bit = engine.CheckNoAlias("streaming difference (batch)", bit)
-		batched := engine.Materialize(engine.NewRowAdapter(bit.(engine.BatchIter), 3))
-		bit.Close()
-		if !sameCounts(multisetKeys(want), multisetKeys(batched)) {
-			t.Fatalf("batch-driven streaming diff diverges\nleft:\n%s\nright:\n%s\nwant:\n%s\ngot:\n%s", l, r, want, batched)
+		want := monusTimePointCounts(l, r)
+		plan := engine.DiffP{L: engine.ScanP{Name: "l"}, R: engine.ScanP{Name: "r"}}
+		db := diffDB(l, r)
+		for _, batch := range []bool{false, true} {
+			it, err := db.ExecStream(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Under -tags snapdebug this asserts the no-mutation contract
+			// at the executor root, before the oracle comparison runs.
+			it = engine.CheckNoAlias("difference", it)
+			drive := it
+			if batch {
+				// An awkward capacity: the NextBatch path must produce the
+				// identical multiset.
+				drive = engine.NewRowAdapter(it.(engine.BatchIter), 3)
+			}
+			got, err := engine.MaterializeErr(drive)
+			it.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameCounts(want, timePointCounts(got)) {
+				t.Fatalf("difference (batch=%v) violates the per-time-point monus oracle\nleft:\n%s\nright:\n%s\noutput:\n%s", batch, l, r, got)
+			}
+			if !engine.IsCoalesced(got, engine.CoalesceNative) {
+				t.Fatalf("difference (batch=%v) is not the unique encoding\nleft:\n%s\nright:\n%s\noutput:\n%s", batch, l, r, got)
+			}
 		}
 	})
 }
 
-// FuzzCoalesce checks the coalesce implementations against each other
-// and against the naive per-time-point oracle on arbitrary interval
-// multisets: the blocking sweep must preserve every snapshot
-// multiplicity and produce a coalesced (unique) encoding, and the
-// streaming sweep over begin-sorted input must produce the identical
-// row multiset. The streaming pre-aggregated split is cross-checked the
-// same way.
+// FuzzCoalesce checks the coalesce operator against the naive
+// per-time-point oracle on arbitrary interval multisets: it must
+// preserve every snapshot multiplicity and produce a coalesced (unique)
+// encoding.
 func FuzzCoalesce(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 5})
@@ -204,50 +187,14 @@ func FuzzCoalesce(f *testing.F) {
 	f.Add([]byte{3, 0, 15, 3, 5, 15, 3, 10, 2}) // overlaps within one group
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tbl := decodeFuzzTable(data)
-
-		blocking := engine.Coalesce(tbl, engine.CoalesceNative)
+		out := engine.Coalesce(tbl, engine.CoalesceNative)
 		// Oracle: coalescing never changes any snapshot.
-		if want, got := timePointCounts(tbl), timePointCounts(blocking); !sameCounts(want, got) {
-			t.Fatalf("blocking coalesce changed snapshot multiplicities\ninput:\n%s\noutput:\n%s", tbl, blocking)
+		if want, got := timePointCounts(tbl), timePointCounts(out); !sameCounts(want, got) {
+			t.Fatalf("coalesce changed snapshot multiplicities\ninput:\n%s\noutput:\n%s", tbl, out)
 		}
 		// Uniqueness: the output must be its own coalesced encoding.
-		if !engine.IsCoalesced(blocking, engine.CoalesceNative) {
-			t.Fatalf("blocking coalesce output is not coalesced\ninput:\n%s\noutput:\n%s", tbl, blocking)
-		}
-
-		sorted := tbl.Clone()
-		sorted.SortByEndpoints()
-		// CheckNoAlias is active under -tags snapdebug and an identity
-		// wrapper otherwise.
-		stream := engine.Materialize(engine.CheckNoAlias("streaming coalesce",
-			engine.NewStreamCoalesceIter(engine.NewTableIter(sorted))))
-		if !sameCounts(multisetKeys(blocking), multisetKeys(stream)) {
-			t.Fatalf("streaming coalesce diverges from blocking sweep\ninput:\n%s\nblocking:\n%s\nstreaming:\n%s", tbl, blocking, stream)
-		}
-
-		// Batch drive of the same sweep at an awkward capacity must match.
-		bcoal := engine.CheckNoAlias("streaming coalesce (batch)",
-			engine.NewStreamCoalesceIter(engine.NewTableIter(sorted)))
-		batched := engine.Materialize(engine.NewRowAdapter(bcoal.(engine.BatchIter), 3))
-		bcoal.Close()
-		if !sameCounts(multisetKeys(blocking), multisetKeys(batched)) {
-			t.Fatalf("batch-driven streaming coalesce diverges\ninput:\n%s\nwant:\n%s\ngot:\n%s", tbl, blocking, batched)
-		}
-
-		// The streaming pre-aggregated split must match the blocking one
-		// row for row on the same input.
-		aggs := []algebra.AggSpec{{Fn: krel.CountStar, As: "cnt"}}
-		wantAgg, err := engine.TemporalAggregate(tbl, []string{"v"}, aggs, true, fuzzDomain)
-		if err != nil {
-			t.Fatal(err)
-		}
-		it, err := engine.NewStreamAggIter(engine.NewTableIter(sorted), []string{"v"}, aggs, fuzzDomain)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotAgg := engine.Materialize(engine.CheckNoAlias("streaming aggregation", it))
-		if !sameCounts(multisetKeys(wantAgg), multisetKeys(gotAgg)) {
-			t.Fatalf("streaming aggregation diverges from blocking sweep\ninput:\n%s\nblocking:\n%s\nstreaming:\n%s", tbl, wantAgg, gotAgg)
+		if !engine.IsCoalesced(out, engine.CoalesceNative) {
+			t.Fatalf("coalesce output is not coalesced\ninput:\n%s\noutput:\n%s", tbl, out)
 		}
 	})
 }

@@ -2,7 +2,7 @@ package engine_test
 
 // ReportAllocs benchmarks pinning the allocation-lean group-key work:
 // the hot grouping paths (coalesce, split/aggregate, difference,
-// streaming sweeps, hash-join build/probe) look groups up through a
+// hash-join build/probe) look groups up through a
 // reusable scratch buffer and map[string(scratch)] accesses, so key
 // strings are materialized once per distinct group — allocations per
 // ROW must stay flat as the row count grows, instead of the one-or-two
@@ -19,8 +19,7 @@ import (
 )
 
 // benchTable builds rows over `groups` distinct data tuples with
-// overlapping intervals, begin-sorted so the streaming sweeps accept it
-// directly.
+// overlapping, begin-sorted intervals.
 func benchTable(rows, groups int) *engine.Table {
 	t := engine.NewTable(tuple.NewSchema("g", "v"))
 	for i := 0; i < rows; i++ {
@@ -78,31 +77,6 @@ func BenchmarkTemporalDiffKeys(b *testing.B) {
 		if _, err := engine.TemporalDiff(l, r); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkStreamCoalesceKeys(b *testing.B) {
-	in := benchTable(benchRows, 16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		engine.Materialize(engine.NewStreamCoalesceIter(engine.NewTableIter(in)))
-	}
-}
-
-func BenchmarkStreamAggKeys(b *testing.B) {
-	in := benchTable(benchRows, 16)
-	aggs := []algebra.AggSpec{{Fn: krel.Sum, Arg: "v", As: "total"}}
-	dom := interval.NewDomain(0, 1<<20)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		it, err := engine.NewStreamAggIter(engine.NewTableIter(in), []string{"g"}, aggs, dom)
-		if err != nil {
-			b.Fatal(err)
-		}
-		engine.Materialize(it)
-		it.Close()
 	}
 }
 

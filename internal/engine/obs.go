@@ -34,12 +34,12 @@ type OpStats struct {
 	timeNs  atomic.Int64 // cumulative wall time inside Next
 	startNs atomic.Int64 // first activity, ns offset from the collector epoch
 	endNs   atomic.Int64 // last activity (exhaustion or Close)
-	state   atomic.Int64 // peak sweep state (StateSizer operators only)
+	state   atomic.Int64 // rows a blocking operator materialized (AddState)
 	batches atomic.Int64 // exchange: batches sent by producers
 	waitNs  atomic.Int64 // exchange: producer time blocked on a full channel
 
-	// Label names the operator ("StreamCoalesce", "exchange:merge");
-	// Detail carries a static annotation ("streaming", "fanin=4"); Frag
+	// Label names the operator ("Coalesce", "Exchange:merge");
+	// Detail carries a static annotation ("pre-agg", "fanin=4"); Frag
 	// is the fragment index of per-worker nodes, -1 otherwise.
 	Label  string
 	Detail string
@@ -127,6 +127,17 @@ func (st *OpStats) Span() func() {
 	}
 }
 
+// AddState records n rows a blocking operator (sweep, sort enforcer)
+// materialized: the state EXPLAIN ANALYZE reports as max_state and the
+// memory budget charges. A blocking operator holds its whole input at
+// once, so the sum over its materializations is its peak. Nil-safe and
+// safe for concurrent use by per-partition sweeps.
+func (st *OpStats) AddState(n int64) {
+	if st != nil {
+		st.state.Add(n)
+	}
+}
+
 // Rows, Nexts, Time, MaxState, Batches and Wait read the counters; they
 // are meaningful once the query has been drained or closed.
 func (st *OpStats) Rows() int64         { return st.rows.Load() }
@@ -188,17 +199,9 @@ func (c *Collector) RootOp() *OpStats {
 	return ch[0]
 }
 
-// StateSizer is implemented by iterators that track the peak size of
-// internal sweep state (active groups plus open intervals); ObsIter
-// records it into OpStats when the stream ends.
-type StateSizer interface {
-	MaxState() int64
-}
-
 // ObsIter is the instrumented iterator wrapper of EXPLAIN ANALYZE: it
 // forwards rows unchanged while counting rows out, Next calls and
-// cumulative time, and snapshots the wrapped iterator's peak sweep
-// state at end of stream. Construct through NewObsIter, which is an
+// cumulative time. Construct through NewObsIter, which is an
 // identity no-op without a stats node.
 type ObsIter struct {
 	in RowIter
@@ -234,28 +237,18 @@ func (it *ObsIter) Next() (tuple.Tuple, bool) {
 		it.st.rows.Add(1)
 	} else {
 		it.st.endNs.Store(t1)
-		it.recordState()
 	}
 	return row, ok
 }
 
 func (it *ObsIter) Close() {
 	it.st.endNs.CompareAndSwap(0, it.st.c.now())
-	it.recordState()
 	it.in.Close()
 }
 
 // Err delegates the terminal error: instrumentation never severs the
 // error-carrying protocol.
 func (it *ObsIter) Err() error { return IterErr(it.in) }
-
-func (it *ObsIter) recordState() {
-	if s, ok := it.in.(StateSizer); ok {
-		if v := s.MaxState(); v > it.st.state.Load() {
-			it.st.state.Store(v)
-		}
-	}
-}
 
 // obsBatchIter is the batch-capable form of ObsIter: one timing/count
 // update per NextBatch call (rows += batch length, batches += 1), so
@@ -279,7 +272,6 @@ func (it *obsBatchIter) NextBatch(b *RowBatch) bool {
 		it.st.batches.Add(1)
 	} else {
 		it.st.endNs.Store(t1)
-		it.recordState()
 	}
 	return ok
 }

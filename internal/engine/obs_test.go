@@ -1,5 +1,5 @@
 // Unit tests of the EXPLAIN ANALYZE collection layer: nil-safety of the
-// collector-off path, ObsIter counting, sweep-state capture, the
+// collector-off path, ObsIter counting, materialized-state capture, the
 // rendered operator tree and the Chrome-trace export.
 package engine_test
 
@@ -15,7 +15,7 @@ import (
 )
 
 // obsDB builds a 50-row single-table database whose intervals overlap
-// heavily, so streaming sweeps accumulate real open-interval state.
+// heavily.
 func obsDB() *engine.DB {
 	db := engine.NewDB(interval.NewDomain(0, 100))
 	tb := db.CreateTable("t", tuple.NewSchema("g", "v"))
@@ -54,13 +54,14 @@ func TestObsNilSafety(t *testing.T) {
 	}
 }
 
-// An analyzed enforced-streaming coalesce must report exact per-operator
-// row counts, the sweep's peak state, a tree mirroring the plan, and a
-// well-formed Chrome trace.
+// An analyzed coalesce over a sort enforcer must report exact
+// per-operator row counts, the rows each blocking operator materialized
+// as its max_state, a tree mirroring the plan, and a well-formed Chrome
+// trace.
 func TestAnalyzeCountsStateAndTrace(t *testing.T) {
 	db := obsDB()
 	col := engine.NewCollector()
-	plan := engine.CoalesceP{In: engine.SortP{In: engine.ScanP{Name: "t"}}, Streaming: true}
+	plan := engine.CoalesceP{In: engine.SortP{In: engine.ScanP{Name: "t"}}}
 	it, err := db.ExecStreamObs(plan, col.Root)
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +70,7 @@ func TestAnalyzeCountsStateAndTrace(t *testing.T) {
 	it.Close()
 
 	root := col.RootOp()
-	if root == nil || root.Label != "Coalesce" || root.Detail != "streaming" {
+	if root == nil || root.Label != "Coalesce" || root.Detail != "" {
 		t.Fatalf("unexpected root stats node: %+v", root)
 	}
 	if root.Rows() != int64(res.Len()) {
@@ -84,8 +85,8 @@ func TestAnalyzeCountsStateAndTrace(t *testing.T) {
 	if root.Nexts() != root.Batches()+1 {
 		t.Fatalf("drained batch iterator must count batches+1 pull calls, got batches=%d nexts=%d", root.Batches(), root.Nexts())
 	}
-	if root.MaxState() <= 0 {
-		t.Fatal("streaming sweep must report peak open-interval/group state")
+	if root.MaxState() != 50 {
+		t.Fatalf("coalesce must report its 50 materialized input rows as max_state, got %d", root.MaxState())
 	}
 	ch := root.Children()
 	if len(ch) != 1 || ch[0].Label != "Sort" {
@@ -100,7 +101,7 @@ func TestAnalyzeCountsStateAndTrace(t *testing.T) {
 	}
 
 	out := col.Render()
-	for _, want := range []string{"Coalesce [streaming]", "Sort", "Scan [t]", "rows=50", "max_state="} {
+	for _, want := range []string{"Coalesce", "Sort", "Scan [t]", "rows=50", "max_state=50"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("rendered tree lacks %q:\n%s", want, out)
 		}
@@ -144,7 +145,7 @@ func TestAnalyzeCountsStateAndTrace(t *testing.T) {
 func TestAnalyzePerRowAblationCounts(t *testing.T) {
 	db := obsDB()
 	col := engine.NewCollector()
-	plan := engine.CoalesceP{In: engine.SortP{In: engine.ScanP{Name: "t"}}, Streaming: true}
+	plan := engine.CoalesceP{In: engine.SortP{In: engine.ScanP{Name: "t"}}}
 	it, err := db.ExecStreamObs(plan, col.Root)
 	if err != nil {
 		t.Fatal(err)
@@ -163,12 +164,12 @@ func TestAnalyzePerRowAblationCounts(t *testing.T) {
 	}
 }
 
-// Closing an analyzed iterator before exhaustion must still snapshot the
-// sweep state and keep the counters consistent.
+// Closing an analyzed iterator before exhaustion must keep the counters
+// consistent; the sweep's state was recorded when it materialized.
 func TestAnalyzeEarlyCloseSnapshotsState(t *testing.T) {
 	db := obsDB()
 	col := engine.NewCollector()
-	plan := engine.CoalesceP{In: engine.SortP{In: engine.ScanP{Name: "t"}}, Streaming: true}
+	plan := engine.CoalesceP{In: engine.SortP{In: engine.ScanP{Name: "t"}}}
 	it, err := db.ExecStreamObs(plan, col.Root)
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +184,7 @@ func TestAnalyzeEarlyCloseSnapshotsState(t *testing.T) {
 	if root.Rows() != 5 || root.Nexts() != 5 {
 		t.Fatalf("early close: rows=%d nexts=%d, want 5/5", root.Rows(), root.Nexts())
 	}
-	if root.MaxState() <= 0 {
-		t.Fatal("Close must snapshot the sweep's peak state")
+	if root.MaxState() != 50 {
+		t.Fatalf("early-closed coalesce must still report its 50 materialized rows, got %d", root.MaxState())
 	}
 }

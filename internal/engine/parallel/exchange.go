@@ -138,9 +138,7 @@ func (it *morselTableIter) Close() {}
 
 // chanIter is the receiving end of a repartition exchange: one of W
 // worker-side iterators pulling batches from a shared channel fed by a
-// distributor goroutine. The batch-draining loop is chanCursor's, so
-// the ctx-aware receive cannot drift between the RowIter form and the
-// ordered-merge rowSource form.
+// distributor goroutine, read through a chanCursor.
 type chanIter struct {
 	x      *exchange
 	schema tuple.Schema
@@ -463,14 +461,8 @@ func keyHash(key []byte) uint32 {
 	return h
 }
 
-// rowSource is one input of an ordered k-way merge: a pull interface
-// over the receiving end of a producer's batch transport (bounded
-// channel or unbounded queue).
-type rowSource interface {
-	next(ctx context.Context) (tuple.Tuple, bool)
-}
-
-// chanCursor adapts one bounded batch channel to a rowSource.
+// chanCursor is the per-row and per-batch reader of one bounded batch
+// channel, observing cancellation through ctx.
 type chanCursor struct {
 	ch  <-chan batch
 	cur batch
@@ -516,349 +508,6 @@ func (c *chanCursor) nextBatch(ctx context.Context, out *engine.RowBatch) bool {
 		out.Rows = b
 		return true
 	}
-}
-
-// batchQueue is an unbounded batch mailbox used by the order-preserving
-// repartition exchange. Unbounded is load-bearing, not a convenience:
-// an ordered k-way merge cannot emit a row until EVERY live cursor has
-// a head row, so if producers could block on a full partition buffer, a
-// skewed key distribution deadlocks (producer s1 full toward partition
-// w1 while w1's merge awaits s2, whose producer is full toward w2,
-// whose merge awaits s1). The worst-case footprint is one partition's
-// rows — exactly what the blocking sweep path materialized anyway.
-type batchQueue struct {
-	mu      sync.Mutex
-	cond    sync.Cond
-	batches []batch
-	closed  bool
-}
-
-func newBatchQueue() *batchQueue {
-	q := &batchQueue{}
-	q.cond.L = &q.mu
-	return q
-}
-
-func (q *batchQueue) put(b batch) {
-	q.mu.Lock()
-	q.batches = append(q.batches, b)
-	q.mu.Unlock()
-	q.cond.Signal()
-}
-
-// closeQ marks end-of-stream and wakes the consumer. Producers always
-// close their queues on exit — including the cancellation path — which
-// is what unblocks a consumer waiting in get.
-func (q *batchQueue) closeQ() {
-	q.mu.Lock()
-	q.closed = true
-	q.mu.Unlock()
-	q.cond.Broadcast()
-}
-
-func (q *batchQueue) get() (batch, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.batches) == 0 && !q.closed {
-		q.cond.Wait()
-	}
-	if len(q.batches) == 0 {
-		return nil, false
-	}
-	b := q.batches[0]
-	q.batches[0] = nil
-	q.batches = q.batches[1:]
-	return b, true
-}
-
-// queueCursor adapts one batchQueue to a rowSource. Cancellation is
-// observed through the producer closing the queue, so get never blocks
-// past teardown. When a governor is attached, the bytes a producer
-// charged for each queued batch are released as the consumer takes it —
-// the outstanding charge is exactly the queue depth, which is what the
-// memory budget bounds on the otherwise-unbounded ordered transport.
-// (Batches stranded in a torn-down queue stay charged; the governor's
-// lifetime is the query's, so nothing leaks past it.)
-type queueCursor struct {
-	q        *batchQueue
-	gov      *engine.Governor
-	rowBytes int64
-	cur      batch
-	i        int
-}
-
-func (c *queueCursor) next(ctx context.Context) (tuple.Tuple, bool) {
-	for {
-		if c.i < len(c.cur) {
-			row := c.cur[c.i]
-			c.i++
-			return row, true
-		}
-		b, ok := c.q.get()
-		if !ok {
-			return nil, false
-		}
-		c.gov.ReleaseMem(int64(len(b)) * c.rowBytes)
-		c.cur, c.i = b, 0
-	}
-}
-
-// orderedMergeIter is the order-preserving merge exchange: a k-way
-// merge over per-producer sources in the sweep operators' canonical
-// (begin, end) endpoint order — the same order engine.CompareEndpoints
-// defines — so begin-sorted fragment streams merge into one
-// begin-sorted stream and downstream streaming sweeps stay streaming.
-// Each source holds at most one head row in the heap; the merge pulls a
-// replacement only from the source it popped, which is what keeps
-// per-fragment order intact.
-type orderedMergeIter struct {
-	ctx    context.Context
-	schema tuple.Schema
-	srcs   []rowSource
-	heap   []mergeEntry
-	inited bool
-	// onClose releases this consumer's reference on the owning exchange
-	// (nil when the sources need no producer teardown).
-	onClose func()
-	closed  bool
-}
-
-// mergeEntry is one heap element: a source's current head row with its
-// interval endpoints cached, so every sift comparison is two raw int64
-// compares instead of re-extracting tagged values from the row.
-type mergeEntry struct {
-	begin, end int64
-	row        tuple.Tuple
-	src        rowSource
-}
-
-func newMergeEntry(row tuple.Tuple, src rowSource) mergeEntry {
-	n := len(row)
-	return mergeEntry{begin: row[n-2].AsInt(), end: row[n-1].AsInt(), row: row, src: src}
-}
-
-func (it *orderedMergeIter) Schema() tuple.Schema { return it.schema }
-
-func (it *orderedMergeIter) less(i, j int) bool {
-	a, b := &it.heap[i], &it.heap[j]
-	if a.begin != b.begin {
-		return a.begin < b.begin
-	}
-	return a.end < b.end
-}
-
-func (it *orderedMergeIter) siftDown(i int) {
-	n := len(it.heap)
-	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < n && it.less(l, s) {
-			s = l
-		}
-		if r < n && it.less(r, s) {
-			s = r
-		}
-		if s == i {
-			return
-		}
-		it.heap[i], it.heap[s] = it.heap[s], it.heap[i]
-		i = s
-	}
-}
-
-func (it *orderedMergeIter) Next() (tuple.Tuple, bool) {
-	if !it.inited {
-		it.inited = true
-		for _, src := range it.srcs {
-			if row, ok := src.next(it.ctx); ok {
-				it.heap = append(it.heap, newMergeEntry(row, src))
-			}
-		}
-		for i := len(it.heap)/2 - 1; i >= 0; i-- {
-			it.siftDown(i)
-		}
-	}
-	if len(it.heap) == 0 {
-		return nil, false
-	}
-	row := it.heap[0].row
-	if nrow, ok := it.heap[0].src.next(it.ctx); ok {
-		it.heap[0] = newMergeEntry(nrow, it.heap[0].src)
-	} else {
-		n := len(it.heap) - 1
-		it.heap[0] = it.heap[n]
-		it.heap[n] = mergeEntry{}
-		it.heap = it.heap[:n]
-	}
-	it.siftDown(0)
-	return row, true
-}
-
-// NextBatch fills out through the per-row heap merge — the k-way
-// compare is inherently per-row, but one NextBatch call amortizes the
-// downstream virtual-call hop over the whole batch.
-func (it *orderedMergeIter) NextBatch(b *engine.RowBatch) bool {
-	b.Reset()
-	limit := capOf(b)
-	for b.Len() < limit {
-		row, ok := it.Next()
-		if !ok {
-			break
-		}
-		b.Append(row)
-	}
-	return b.Len() > 0
-}
-
-// Close releases the consumer reference on the owning exchange, so
-// closing an ordered-merge iterator before exhaustion unblocks its
-// producers.
-func (it *orderedMergeIter) Close() {
-	if it.closed {
-		return
-	}
-	it.closed = true
-	if it.onClose != nil {
-		it.onClose()
-	}
-}
-
-// startOrderedMerge is the order-preserving sibling of startMerge: one
-// producer goroutine and one bounded channel per part (backpressure is
-// safe here — the single consumer always drains the source it waits
-// on), with the consumer k-way merging the heads by endpoint order.
-// The merged stream is begin-sorted iff every part is.
-func (e *executor) startOrderedMerge(parts []engine.RowIter, parent *engine.OpStats) engine.RowIter {
-	st := parent.Child("Exchange:ordered-merge", fmt.Sprintf("fanin=%d", len(parts)))
-	schema := parts[0].Schema()
-	x := e.newExchange(1)
-	srcs := make([]rowSource, len(parts))
-	for i, part := range parts {
-		//lint:ignore orderedchan safe bounded buffer: the merge consumer always drains the exact source it waits on, so a full buffer here cannot stall the heap
-		ch := make(chan batch, 2)
-		srcs[i] = &chanCursor{ch: ch}
-		part := part
-		e.wg.Add(1)
-		go func() {
-			defer e.wg.Done()
-			defer e.recoverPanic("exchange:ordered-merge producer")
-			defer close(ch)
-			defer part.Close()
-			e.drainInto(x.ctx, part, ch, st, false)
-		}()
-	}
-	return engine.NewObsIter(engine.CheckOrdered("ordered merge exchange",
-		e.inject("exchange:ordered-merge",
-			&orderedMergeIter{ctx: x.ctx, schema: schema, srcs: srcs, onClose: x.release})), st)
-}
-
-// hashPartitionOrdered is the order-preserving repartition exchange:
-// like hashPartition it hashes the key columns so value-equivalent
-// groups never straddle partitions, but it partitions BEFORE any
-// order-destroying merge — each producer feeds a private queue per
-// partition (preserving its fragment's begin order as a subsequence)
-// and every partition-side iterator k-way merges its per-producer
-// queues by endpoint order. With begin-sorted sources, every partition
-// stream is begin-sorted, which is what lets each worker run a
-// STREAMING sweep over its partition. See batchQueue for why the
-// per-(source, partition) transport must be unbounded.
-func (e *executor) hashPartitionOrdered(srcs []engine.RowIter, keyIdx []int, parent *engine.OpStats) []engine.RowIter {
-	st := parent.Child("Exchange:ordered-partition", fmt.Sprintf("fanout=%d", e.workers))
-	st.InitParts(e.workers)
-	schema := srcs[0].Schema()
-	x := e.newExchange(e.workers)
-	queues := make([][]*batchQueue, len(srcs))
-	for s := range queues {
-		queues[s] = make([]*batchQueue, e.workers)
-		for w := range queues[s] {
-			queues[s][w] = newBatchQueue()
-		}
-	}
-	rowBytes := engine.ApproxRowBytes(schema.Arity())
-	for si, src := range srcs {
-		si, src := si, src
-		e.wg.Add(1)
-		go func() {
-			defer e.wg.Done()
-			defer e.recoverPanic("exchange:ordered-partition producer")
-			defer src.Close()
-			defer func() {
-				for _, q := range queues[si] {
-					q.closeQ()
-				}
-			}()
-			bufs := make([]batch, e.workers)
-			for i := range bufs {
-				bufs[i] = make(batch, 0, e.morsel)
-			}
-			// put charges the batch against the memory budget before
-			// queueing it (the consumer's queueCursor releases the charge
-			// on take): the unbounded ordered transport is exactly where a
-			// skewed query's state grows without backpressure, so this is
-			// the governor's most load-bearing charge site.
-			put := func(i int) bool {
-				if err := e.gov.ChargeMem(int64(len(bufs[i])) * rowBytes); err != nil {
-					e.fail(err)
-					return false
-				}
-				queues[si][i].put(bufs[i])
-				st.AddBatch()
-				st.AddPartRows(i, len(bufs[i]))
-				return true
-			}
-			var scratch []byte
-			next := e.pullFunc(src)
-			for {
-				row, ok := next()
-				if !ok {
-					// A failed source means the partitions are missing rows:
-					// report it centrally and drop the trailing buffers.
-					if err := engine.IterErr(src); err != nil {
-						e.fail(err)
-						return
-					}
-					break
-				}
-				scratch = row.AppendKey(scratch[:0], keyIdx)
-				i := int(keyHash(scratch) % uint32(e.workers))
-				//lint:ignore rowretain partition buffering for transport; rows are forwarded downstream unmodified
-				bufs[i] = append(bufs[i], row)
-				if len(bufs[i]) == e.morsel {
-					// The cancellation probe runs once per batch, not per
-					// row: queue puts never block, so this is the only
-					// teardown point and ctx.Err is not free. (No wait time
-					// to record for the same reason — only batch counts.)
-					// The exchange context also covers all-consumers-closed,
-					// so an early Close of every partition stops this
-					// producer instead of letting it pump the whole source
-					// into the unbounded queues.
-					if x.ctx.Err() != nil {
-						return
-					}
-					if !put(i) {
-						return
-					}
-					bufs[i] = make(batch, 0, e.morsel)
-				}
-			}
-			for i := range bufs {
-				if len(bufs[i]) > 0 && !put(i) {
-					return
-				}
-			}
-		}()
-	}
-	parts := make([]engine.RowIter, e.workers)
-	for w := range parts {
-		cursors := make([]rowSource, len(srcs))
-		for s := range srcs {
-			cursors[s] = &queueCursor{q: queues[s][w], gov: e.gov, rowBytes: rowBytes}
-		}
-		parts[w] = engine.CheckOrdered("ordered repartition exchange",
-			e.inject(fmt.Sprintf("exchange:ordered-partition:%d", w),
-				&orderedMergeIter{ctx: x.ctx, schema: schema, srcs: cursors, onClose: x.release}))
-	}
-	return parts
 }
 
 // repartition converts a sequential stream into W worker-side iterators

@@ -72,20 +72,6 @@ func TestMergeIterCloseUnblocksProducers(t *testing.T) {
 	}
 }
 
-// The ordered merge exchange has the same lifecycle obligation.
-func TestOrderedMergeIterCloseUnblocksProducers(t *testing.T) {
-	for _, batchSize := range []int{0, 8} {
-		e := newTestExecutor(2, batchSize)
-		it := e.startOrderedMerge([]engine.RowIter{&sliceIter{n: 100000}, &sliceIter{n: 100000}}, nil)
-		if _, ok := it.Next(); !ok {
-			t.Fatal("empty ordered merge")
-		}
-		it.Close()
-		it.Close()
-		waitProducers(t, e)
-	}
-}
-
 // Closing every partition-side iterator of a repartition exchange must
 // reap the distributor; closing only SOME of them must not, because the
 // remaining consumers still share the transport channel. The refcount

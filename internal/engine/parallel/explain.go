@@ -9,9 +9,9 @@ import (
 // AnnotatePlacement fills the Placement fields of an EXPLAIN tree with
 // the fragment and exchange decisions Exec's build() would make for p at
 // the given worker count: morsel-partitioned scans, replicated fragment
-// pipelines, the exchange kind feeding each sweep (order-preserving or
-// not), and the sequential materialization boundaries. It is a static
-// mirror of build()'s branching over the isomorphic tree that
+// pipelines, the hash-partition exchange feeding each parallel sweep,
+// and the sequential materialization boundaries. It is a static mirror
+// of build()'s branching over the isomorphic tree that
 // engine.ExplainPlan produces — when build() changes a placement
 // decision, change the matching case here (the explain shape tests
 // compare the two). workers follows the same convention as
@@ -22,9 +22,9 @@ func AnnotatePlacement(db *engine.DB, p engine.Plan, n *engine.ExplainNode, work
 }
 
 // annotatePlacement mirrors build(): it returns whether the stream is
-// partitioned into fragments and whether it carries the begin order —
-// the two physical properties build() tracks in pstream.
-func annotatePlacement(db *engine.DB, p engine.Plan, n *engine.ExplainNode, workers int) (parted, ordered bool) {
+// partitioned into fragments, the physical property build() tracks in
+// pstream.
+func annotatePlacement(db *engine.DB, p engine.Plan, n *engine.ExplainNode, workers int) (parted bool) {
 	child := func(i int) *engine.ExplainNode {
 		if i < len(n.Children) {
 			return n.Children[i]
@@ -33,111 +33,84 @@ func annotatePlacement(db *engine.DB, p engine.Plan, n *engine.ExplainNode, work
 	}
 	switch t := p.(type) {
 	case engine.ScanP:
-		ordered = db.ScanBeginSorted(t.Name)
 		if workers <= 1 {
 			n.Placement = "sequential scan"
-			return false, ordered
+			return false
 		}
 		n.Placement = fmt.Sprintf("morsel scan ×%d", workers)
-		return true, ordered
+		return true
 	case engine.FilterP:
-		parted, ordered = annotatePlacement(db, t.In, child(0), workers)
+		parted = annotatePlacement(db, t.In, child(0), workers)
 		n.Placement = fragmentsOrSequential(parted, workers)
-		return parted, ordered
+		return parted
 	case engine.ProjectP:
-		parted, ordered = annotatePlacement(db, t.In, child(0), workers)
+		parted = annotatePlacement(db, t.In, child(0), workers)
 		n.Placement = fragmentsOrSequential(parted, workers)
-		return parted, ordered
+		return parted
 	case engine.JoinP:
 		annotatePlacement(db, t.L, child(0), workers)
 		annotatePlacement(db, t.R, child(1), workers)
 		if !joinHasEquiKey(db, t) {
 			n.Placement = "sequential overlap sweep over merged inputs"
-			return false, false
+			return false
 		}
 		if workers <= 1 {
 			n.Placement = "sequential probe, build drained via merge"
-			return false, false
+			return false
 		}
 		n.Placement = fmt.Sprintf("shared build, probe fragments ×%d", workers)
-		return true, false
+		return true
 	case engine.UnionP:
-		lp, _ := annotatePlacement(db, t.L, child(0), workers)
-		rp, _ := annotatePlacement(db, t.R, child(1), workers)
+		lp := annotatePlacement(db, t.L, child(0), workers)
+		rp := annotatePlacement(db, t.R, child(1), workers)
 		if !lp && !rp {
 			n.Placement = "sequential"
-			return false, false
+			return false
 		}
 		n.Placement = fmt.Sprintf("paired fragments ×%d", workers)
-		return true, false
+		return true
 	case engine.DiffP:
 		annotatePlacement(db, t.L, child(0), workers)
 		annotatePlacement(db, t.R, child(1), workers)
 		if workers > 1 {
-			if t.Streaming {
-				n.Placement = fmt.Sprintf("fragments ×%d via ordered-partition ×2", workers)
-			} else {
-				n.Placement = fmt.Sprintf("fragments ×%d via hash-partition ×2", workers)
-			}
-			return true, false
+			n.Placement = fmt.Sprintf("fragments ×%d via hash-partition ×2", workers)
+			return true
 		}
-		if t.Streaming {
-			n.Placement = "sequential sweep over ordered inputs"
-		} else {
-			n.Placement = "sequential sweep, inputs materialized"
-		}
-		return false, false
+		n.Placement = "sequential sweep, inputs materialized"
+		return false
 	case engine.AggP:
 		annotatePlacement(db, t.In, child(0), workers)
-		streaming := t.Streaming && t.PreAgg
 		if workers > 1 && len(t.GroupBy) > 0 {
-			if streaming {
-				n.Placement = fmt.Sprintf("fragments ×%d via ordered-partition", workers)
-			} else {
-				n.Placement = fmt.Sprintf("fragments ×%d via hash-partition", workers)
-			}
-			return true, false
+			n.Placement = fmt.Sprintf("fragments ×%d via hash-partition", workers)
+			return true
 		}
-		if streaming {
-			n.Placement = "sequential sweep over ordered input"
-		} else {
-			n.Placement = "sequential sweep, input materialized"
-		}
-		return false, false
+		n.Placement = "sequential sweep, input materialized"
+		return false
 	case engine.CoalesceP:
 		annotatePlacement(db, t.In, child(0), workers)
 		if workers > 1 {
-			if t.Streaming {
-				n.Placement = fmt.Sprintf("fragments ×%d via ordered-partition", workers)
-			} else {
-				n.Placement = fmt.Sprintf("fragments ×%d via hash-partition", workers)
-			}
-			return true, false
+			n.Placement = fmt.Sprintf("fragments ×%d via hash-partition", workers)
+			return true
 		}
-		if t.Streaming {
-			n.Placement = "sequential sweep over ordered input"
-		} else {
-			n.Placement = "sequential sweep, input materialized"
-		}
-		return false, false
+		n.Placement = "sequential sweep, input materialized"
+		return false
 	case engine.SortP:
 		annotatePlacement(db, t.In, child(0), workers)
 		n.Placement = "sequential materialization boundary"
-		return false, true
+		return false
 	case engine.WindowP:
 		// Window wraps its input fragments in place (mapStream), so it
-		// inherits the child's partitioning; clipping preserves begin
-		// order. On the pruned path the child is still a scan — its
-		// morsel/sequential annotation stays accurate, the prune only
-		// shrinks the row range the morsel counters divide.
-		parted, ordered = annotatePlacement(db, t.In, child(0), workers)
+		// inherits the child's partitioning. On the pruned path the child
+		// is still a scan — its morsel/sequential annotation stays
+		// accurate, the prune only shrinks the row range the morsel
+		// counters divide.
+		parted = annotatePlacement(db, t.In, child(0), workers)
 		n.Placement = fragmentsOrSequential(parted, workers)
-		return parted, ordered
+		return parted
 	default:
-		return false, false
+		return false
 	}
 }
-
 func fragmentsOrSequential(parted bool, workers int) string {
 	if parted {
 		return fmt.Sprintf("fragments ×%d", workers)

@@ -29,11 +29,10 @@ func placementPlans() []engine.Plan {
 		engine.JoinP{L: scanL, R: scanR, Pred: algebra.BoolC(true)}, // overlap sweep: sequential
 		engine.UnionP{L: scanL, R: scanL},
 		engine.CoalesceP{In: scanL},
-		engine.CoalesceP{In: engine.SortP{In: scanL}, Streaming: true},
+		engine.CoalesceP{In: engine.SortP{In: scanL}},
 		engine.AggP{GroupBy: []string{"k"}, Aggs: []algebra.AggSpec{{Fn: krel.CountStar, As: "cnt"}}, In: scanL},
 		engine.AggP{Aggs: []algebra.AggSpec{{Fn: krel.CountStar, As: "cnt"}}, In: scanL}, // global agg: sequential sweep
 		engine.DiffP{L: scanL, R: scanL},
-		engine.DiffP{L: engine.SortP{In: scanL}, R: engine.SortP{In: scanL}, Streaming: true},
 	}
 }
 

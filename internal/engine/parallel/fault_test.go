@@ -101,9 +101,7 @@ func TestInjectedPanicAtRootContained(t *testing.T) {
 
 // Early Close racing injected errors and delays: while chaos faults
 // tear the pipeline down from inside, the consumer abandons it from
-// outside after one row. Every fragment must still exit, across seeds
-// and both the ordered and unordered exchange paths (the join plan uses
-// repartition; the scan plan the plain merge).
+// outside after one row. Every fragment must still exit, across seeds.
 func TestEarlyCloseUnderInjectedErrors(t *testing.T) {
 	db := bigPipelineDB(8000)
 	base := runtime.NumGoroutine()

@@ -2,6 +2,7 @@ package parallel_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"snapk/internal/algebra"
@@ -15,11 +16,9 @@ import (
 // fuzzDomain is the time domain of the parallel sweep fuzz harness.
 var fuzzDomain = interval.NewDomain(0, 32)
 
-// decodeFuzzDB decodes 3-byte chunks of fuzz data into a begin-sorted
-// single-column stored table (value, begin, span-and-multiplicity) and
-// returns the database holding it. Sorting the decoded rows is what
-// arms the streaming sweeps: the planner contract says Streaming only
-// runs over begin-ordered input.
+// decodeFuzzDB decodes 3-byte chunks of fuzz data into a single-column
+// stored table (value, begin, span-and-multiplicity) and returns the
+// database holding it.
 func decodeFuzzDB(data []byte) (*engine.DB, *engine.Table) {
 	if len(data) > 300 {
 		data = data[:300]
@@ -40,7 +39,6 @@ func decodeFuzzDB(data []byte) (*engine.DB, *engine.Table) {
 		mult := int64(data[i+2]%3) + 1
 		tbl.Append(tuple.Tuple{val}, interval.New(begin, end), mult)
 	}
-	tbl.SortByEndpoints()
 	db := engine.NewDB(fuzzDomain)
 	db.AddTable("t", tbl)
 	return db, tbl
@@ -52,6 +50,34 @@ func fuzzMultiset(t *engine.Table) map[string]int {
 		m[row.Key()]++
 	}
 	return m
+}
+
+// pointCounts is the naive per-time-point oracle: for every (data
+// tuple, time point), the number of rows whose interval covers it.
+func pointCounts(t *engine.Table) map[string]int {
+	counts := make(map[string]int)
+	for _, row := range t.Rows {
+		iv := t.Interval(row)
+		key := row[:len(row)-2].Key()
+		for p := iv.Begin; p < iv.End; p++ {
+			counts[fmt.Sprintf("%s@%d", key, p)]++
+		}
+	}
+	return counts
+}
+
+// monusPointCounts is the per-time-point ℕ-monus oracle of l − r, zero
+// entries elided.
+func monusPointCounts(l, r *engine.Table) map[string]int {
+	counts := pointCounts(l)
+	for k, rc := range pointCounts(r) {
+		if counts[k] <= rc {
+			delete(counts, k)
+		} else {
+			counts[k] -= rc
+		}
+	}
+	return counts
 }
 
 func fuzzSameCounts(a, b map[string]int) bool {
@@ -66,14 +92,12 @@ func fuzzSameCounts(a, b map[string]int) bool {
 	return true
 }
 
-// FuzzParStreamSweep differences the parallel STREAMING sweeps — the
-// order-preserving repartition exchange feeding per-worker streaming
-// coalesce and pre-aggregated split — against the sequential blocking
-// oracles on arbitrary interval multisets, and checks merge-order
-// correctness: the ordered merge of a begin-sorted parallel scan must
-// itself be begin-sorted. A sort-order violation inside a partition
-// would also trip the streaming iterators' input-order panic, so this
-// target simultaneously fuzzes the exchange's order guarantee.
+// FuzzParStreamSweep checks the hash-partitioned parallel sweeps —
+// per-worker coalesce, difference and pre-aggregated split over their
+// materialized partitions, streamed through the merge exchange —
+// against the oracles on arbitrary interval multisets: coalesce and
+// difference against the per-time-point multiplicities (and the unique
+// encoding), aggregation against the coalesced naive split.
 func FuzzParStreamSweep(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 5})
@@ -84,48 +108,39 @@ func FuzzParStreamSweep(f *testing.F) {
 		db, tbl := decodeFuzzDB(data)
 		ctx := context.Background()
 		opt := parallel.Options{Workers: 3, MorselSize: 4}
-
-		// Merge-order correctness: ordered merge of the sorted scan.
-		scan, err := parallel.Exec(ctx, db, engine.ScanP{Name: "t"}, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Under -tags snapdebug this panics at the exchange the moment a
-		// row leaves begin order, naming it, instead of failing the
-		// materialized check below.
-		scan = engine.CheckOrdered("parallel ordered scan", scan)
-		merged := engine.Materialize(scan)
-		scan.Close()
-		if !engine.RowsBeginSorted(merged.Rows) {
-			t.Fatalf("ordered merge emitted out-of-order rows\ninput:\n%s", tbl)
-		}
-		if merged.Len() != tbl.Len() {
-			t.Fatalf("ordered merge lost rows: %d of %d", merged.Len(), tbl.Len())
-		}
-
-		// Parallel streaming coalesce vs the sequential blocking sweep,
-		// across the batch-hop settings: morsel-tied (0), per-row
-		// ablation (-1) and a batch size mismatching the morsel (3).
-		want := engine.Coalesce(tbl, engine.CoalesceNative)
-		for _, bs := range []int{0, -1, 3} {
-			bopt := opt
-			bopt.BatchSize = bs
-			it, err := parallel.Exec(ctx, db, engine.CoalesceP{In: engine.ScanP{Name: "t"}, Streaming: true}, bopt)
+		run := func(p engine.Plan, o parallel.Options) *engine.Table {
+			t.Helper()
+			it, err := parallel.Exec(ctx, db, p, o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := engine.Materialize(it)
-			it.Close()
-			if !fuzzSameCounts(fuzzMultiset(want), fuzzMultiset(got)) {
-				t.Fatalf("parallel streaming coalesce (BatchSize %d) diverges from blocking oracle\ninput:\n%s\nwant:\n%s\ngot:\n%s", bs, tbl, want, got)
+			defer it.Close()
+			out, err := engine.MaterializeErr(it)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
+
+		// Parallel coalesce across the batch-hop settings: morsel-tied
+		// (0), per-row ablation (-1) and a batch size mismatching the
+		// morsel (3).
+		for _, bs := range []int{0, -1, 3} {
+			bopt := opt
+			bopt.BatchSize = bs
+			got := run(engine.CoalesceP{In: engine.ScanP{Name: "t"}}, bopt)
+			if !fuzzSameCounts(pointCounts(tbl), pointCounts(got)) {
+				t.Fatalf("parallel coalesce (BatchSize %d) changed snapshot multiplicities\ninput:\n%s\ngot:\n%s", bs, tbl, got)
+			}
+			if !engine.IsCoalesced(got, engine.CoalesceNative) {
+				t.Fatalf("parallel coalesce (BatchSize %d) is not coalesced\ninput:\n%s\ngot:\n%s", bs, tbl, got)
 			}
 		}
 
-		// Parallel streaming difference (pairwise ordered repartition,
-		// per-worker merge sweeps) vs the sequential blocking oracle.
-		// The table is differenced against a shifted copy of itself so
-		// value-equivalent groups exist on both sides and the monus has
-		// truncation work; both sides are begin-sorted stored tables.
+		// Parallel difference (both sides hash-partitioned on the full
+		// data tuple) against the per-time-point monus. The table is
+		// differenced against a shifted copy of itself so value-equivalent
+		// groups exist on both sides and the monus has truncation work.
 		shifted := engine.NewTable(tuple.Schema{Cols: tbl.Schema.Cols[:1]})
 		for _, row := range tbl.Rows {
 			iv := tbl.Interval(row)
@@ -137,41 +152,29 @@ func FuzzParStreamSweep(f *testing.F) {
 				shifted.Append(row[:1], interval.New(iv.Begin+1, end), 1)
 			}
 		}
-		shifted.SortByEndpoints()
 		db.AddTable("u", shifted)
-		wantDiff, err := engine.TemporalDiff(tbl, shifted)
-		if err != nil {
-			t.Fatal(err)
+		gotDiff := run(engine.DiffP{L: engine.ScanP{Name: "t"}, R: engine.ScanP{Name: "u"}}, opt)
+		if !fuzzSameCounts(monusPointCounts(tbl, shifted), pointCounts(gotDiff)) {
+			t.Fatalf("parallel difference violates the per-time-point monus oracle\nleft:\n%s\nright:\n%s\ngot:\n%s",
+				tbl, shifted, gotDiff)
 		}
-		dit, err := parallel.Exec(ctx, db,
-			engine.DiffP{L: engine.ScanP{Name: "t"}, R: engine.ScanP{Name: "u"}, Streaming: true}, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotDiff := engine.Materialize(dit)
-		dit.Close()
-		if !fuzzSameCounts(fuzzMultiset(wantDiff), fuzzMultiset(gotDiff)) {
-			t.Fatalf("parallel streaming difference diverges from blocking oracle\nleft:\n%s\nright:\n%s\nwant:\n%s\ngot:\n%s",
-				tbl, shifted, wantDiff, gotDiff)
+		if !engine.IsCoalesced(gotDiff, engine.CoalesceNative) {
+			t.Fatalf("parallel difference is not coalesced\nleft:\n%s\nright:\n%s\ngot:\n%s", tbl, shifted, gotDiff)
 		}
 
-		// Parallel streaming pre-aggregated split vs the blocking sweep,
-		// grouped (partitioned path) and global (ordered-merge path).
+		// Parallel pre-aggregated split against the coalesced naive
+		// split, grouped (partitioned path) and global (sequential sweep
+		// over the merged input).
 		aggs := []algebra.AggSpec{{Fn: krel.CountStar, As: "cnt"}}
 		for _, groupBy := range [][]string{{"v"}, nil} {
-			wantAgg, err := engine.TemporalAggregate(tbl, groupBy, aggs, true, fuzzDomain)
+			naive, err := engine.TemporalAggregate(tbl, groupBy, aggs, false, fuzzDomain)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ait, err := parallel.Exec(ctx, db,
-				engine.AggP{GroupBy: groupBy, Aggs: aggs, PreAgg: true, Streaming: true, In: engine.ScanP{Name: "t"}}, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotAgg := engine.Materialize(ait)
-			ait.Close()
+			wantAgg := engine.Coalesce(naive, engine.CoalesceNative)
+			gotAgg := run(engine.AggP{GroupBy: groupBy, Aggs: aggs, PreAgg: true, In: engine.ScanP{Name: "t"}}, opt)
 			if !fuzzSameCounts(fuzzMultiset(wantAgg), fuzzMultiset(gotAgg)) {
-				t.Fatalf("parallel streaming aggregation (groupBy %v) diverges from blocking oracle\ninput:\n%s\nwant:\n%s\ngot:\n%s",
+				t.Fatalf("parallel aggregation (groupBy %v) diverges from the coalesced naive split\ninput:\n%s\nwant:\n%s\ngot:\n%s",
 					groupBy, tbl, wantAgg, gotAgg)
 			}
 		}

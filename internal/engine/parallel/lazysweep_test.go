@@ -46,7 +46,7 @@ func TestLazySweepPropagatesDrainError(t *testing.T) {
 	in := &errAfterIter{schema: periodSchema2(), rows: []tuple.Tuple{
 		{tuple.Int(1), tuple.Int(0), tuple.Int(10)},
 	}, err: boom}
-	it := newLazySweepIter(in, periodSchema2(), func(tb *engine.Table) (*engine.Table, error) {
+	it := newTestExecutor(2, 0).newLazySweepIter(in, periodSchema2(), nil, func(tb *engine.Table) (*engine.Table, error) {
 		return tb, nil
 	})
 	defer it.Close()
@@ -65,7 +65,7 @@ func TestLazySweepPropagatesDrainError(t *testing.T) {
 func TestLazySweepPropagatesFnError(t *testing.T) {
 	boom := errors.New("sweep bug")
 	in := &errAfterIter{schema: periodSchema2()}
-	it := newLazySweepIter(in, periodSchema2(), func(tb *engine.Table) (*engine.Table, error) {
+	it := newTestExecutor(2, 0).newLazySweepIter(in, periodSchema2(), nil, func(tb *engine.Table) (*engine.Table, error) {
 		return nil, boom
 	})
 	defer it.Close()
@@ -83,9 +83,7 @@ func TestLazyDiffPropagatesDrainError(t *testing.T) {
 	boom := errors.New("right side boom")
 	l := &errAfterIter{schema: periodSchema2()}
 	r := &errAfterIter{schema: periodSchema2(), err: boom}
-	it := newLazyDiffIter(l, r, periodSchema2(), func(lt, rt *engine.Table) (*engine.Table, error) {
-		return engine.TemporalDiff(lt, rt)
-	})
+	it := newTestExecutor(2, 0).newLazyDiffIter(l, r, periodSchema2(), nil)
 	defer it.Close()
 	if _, ok := it.Next(); ok {
 		t.Fatal("lazy diff over a failed partition must yield no rows")

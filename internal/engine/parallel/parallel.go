@@ -18,24 +18,14 @@
 // over its partition and the merged output is multiset-identical to
 // sequential execution.
 //
-// Interval-endpoint order is a first-class physical property of the
-// executor (pstream.ordered): begin-sorted scans yield begin-sorted
-// morsel fragments, Filter/Project preserve the order per fragment, and
-// two ORDER-PRESERVING exchanges carry it across pipeline breaks — an
-// ordered k-way merge (orderedMergeIter, driven by the shared
-// engine.CompareEndpoints comparator) for the merge hop, and an ordered
-// repartition (hashPartitionOrdered) that partitions straight from the
-// sorted fragments, before any order-destroying merge. When the planner
-// guaranteed the order (CoalesceP/AggP.Streaming), each worker runs the
-// STREAMING sweep over its begin-sorted partition with O(open
-// intervals + active groups) state instead of materializing it, and
-// global aggregation streams over the ordered merge of all fragments.
-// The materializing per-partition sweeps remain as the blocking
-// ablation. Only the endpoint sort enforcer is a sequential
-// materialization boundary.
+// Each sweep has one physical form: every worker materializes its hash
+// partition and runs the blocking sweep over it (lazySweepIter), and the
+// sequential form materializes its whole input first (executor.table).
+// Both charge the rows they materialize against the memory budget and
+// record them as the node's max_state.
 //
 // Because period relations are multisets, the nondeterministic arrival
-// order at an unordered merge exchange is semantically invisible: the
+// order at a merge exchange is semantically invisible: the
 // result is multiset-identical to sequential execution (enforced by the
 // qgen equivalence suite and the parallel fuzz differential).
 //
@@ -93,11 +83,11 @@ type Options struct {
 	// so the uninstrumented hot path is unchanged.
 	Stats *engine.OpStats
 	// Gov, when non-nil, is the per-query resource governor: the root
-	// iterator charges emitted rows against its row limit, sweeps and
-	// the hash-join build charge their tracked state against its memory
-	// budget, and the ordered-repartition queues charge their depth.
-	// Tripping a limit fails the query with the governor's typed error.
-	// Nil (the default) disables all charging.
+	// iterator charges emitted rows against its row limit, and the rows
+	// that blocking sweeps, sort enforcers and the hash-join build
+	// materialize are charged against its memory budget. Tripping a
+	// limit fails the query with the governor's typed error. Nil (the
+	// default) disables all charging.
 	Gov *engine.Governor
 	// Inject, when non-nil, wraps the iterator built at each operator
 	// and exchange boundary — the chaos fault-injection hook. Production
@@ -186,28 +176,20 @@ func (e *executor) injectStream(site string, s *pstream) *pstream {
 	return s
 }
 
-// govern wraps a sweep iterator with memory-budget accounting of its
-// peak state (identity when no governor or the iterator exposes no
-// state). unit pricing uses the stream's row arity.
-func (e *executor) govern(it engine.RowIter) engine.RowIter {
-	if e.gov == nil {
-		return it
-	}
-	return engine.GovernState(it, e.gov, engine.ApproxRowBytes(it.Schema().Arity()))
+// charge records n rows a blocking operator materialized at arity as
+// st's state and charges them against the memory budget, returning
+// ErrMemBudget once the budget is exceeded.
+func (e *executor) charge(st *engine.OpStats, n int64, arity int) error {
+	st.AddState(n)
+	return e.gov.ChargeMem(n * engine.ApproxRowBytes(arity))
 }
 
 // pstream is a stream in one of two physical forms: a single sequential
 // iterator, or W per-worker fragment iterators awaiting a merge.
-// ordered carries the interval-endpoint sort property through the
-// physical plan: when set, the sequential iterator — or EVERY fragment
-// individually — yields rows in ascending begin order, so exchanges can
-// preserve the order (ordered merge, ordered repartition) instead of
-// destroying it, and the streaming sweeps stay streaming end to end.
 type pstream struct {
-	seq     engine.RowIter   // exactly one of seq / parts is set
-	parts   []engine.RowIter // one fragment per worker
-	schema  tuple.Schema
-	ordered bool
+	seq    engine.RowIter   // exactly one of seq / parts is set
+	parts  []engine.RowIter // one fragment per worker
+	schema tuple.Schema
 }
 
 func (s *pstream) close() {
@@ -446,21 +428,10 @@ func (it *execBatchIter) guardedNextBatch(b *engine.RowBatch) (ok bool) {
 }
 
 // merge collapses a stream to a single iterator, inserting a merge
-// exchange over partitioned fragments. When the stream carries the sort
-// property, the order-preserving merge keeps it: sortedness survives
-// the merge hop. This is deliberate even at the root, where no operator
-// consumes the order: the cursor API then emits begin-ordered rows for
-// ordered plans (clients see deterministic stream order), and the SortP
-// materialization boundary receives pre-sorted input. The price is a
-// per-row heap compare on sorted scan-only plans; if that ever shows up
-// in profiles, thread a need-order flag from the consumer instead.
+// exchange over partitioned fragments.
 func (e *executor) merge(s *pstream, parent *engine.OpStats) engine.RowIter {
 	it := s.seq
-	switch {
-	case it != nil:
-	case s.ordered:
-		it = e.startOrderedMerge(s.parts, parent)
-	default:
+	if it == nil {
 		it = e.startMerge(s.parts, parent)
 	}
 	if e.batchSize == 0 {
@@ -628,7 +599,7 @@ func (e *executor) build(p engine.Plan, parent *engine.OpStats) (*pstream, error
 		}
 		in.SortByEndpoints()
 		done()
-		return obsStream(&pstream{seq: engine.NewTableIter(in), schema: in.Schema, ordered: true}, st), nil
+		return obsStream(&pstream{seq: engine.NewTableIter(in), schema: in.Schema}, st), nil
 	default:
 		return nil, fmt.Errorf("parallel: unknown plan node %T", p)
 	}
@@ -647,53 +618,26 @@ func dataIdx(schema tuple.Schema) []int {
 
 // buildCoalesce compiles the coalesce operator. With multiple workers
 // the input is hash-partitioned on the full data tuple and every worker
-// coalesces its partition independently — value-equivalent groups never
-// straddle partitions, so the merged output is multiset-identical to
-// the sequential sweep. When the planner guaranteed begin-sorted input
-// (n.Streaming), the ORDER-PRESERVING repartition exchange keeps every
-// partition begin-sorted and each worker runs the streaming sweep with
-// O(open intervals) state; otherwise each worker materializes its
-// partition and runs the blocking sweep (the ablation baseline).
+// materializes its partition and coalesces it independently —
+// value-equivalent groups never straddle partitions, so the merged
+// output is multiset-identical to the sequential sweep.
 func (e *executor) buildCoalesce(n engine.CoalesceP, parent *engine.OpStats) (*pstream, error) {
+	st := parent.Child("Coalesce", "")
 	if e.workers > 1 {
-		var st *engine.OpStats
-		if n.Streaming {
-			st = parent.Child("Coalesce", "streaming")
-		} else {
-			st = parent.Child("Coalesce", "blocking")
-		}
 		in, err := e.build(n.In, st)
 		if err != nil {
 			return nil, err
 		}
 		schema := in.schema
-		if n.Streaming {
-			parts := e.hashPartitionOrdered(in.sources(), dataIdx(schema), st)
-			out := make([]engine.RowIter, len(parts))
-			for i, part := range parts {
-				out[i] = e.govern(engine.NewStreamCoalesceIter(part))
-			}
-			return obsStream(e.injectStream("coalesce", &pstream{parts: out, schema: schema}), st), nil
-		}
 		parts := e.hashPartition(in.sources(), dataIdx(schema), st)
 		out := make([]engine.RowIter, len(parts))
 		for i, part := range parts {
-			out[i] = newLazySweepIter(part, schema, func(t *engine.Table) (*engine.Table, error) {
+			out[i] = e.newLazySweepIter(part, schema, st, func(t *engine.Table) (*engine.Table, error) {
 				return engine.Coalesce(t, n.Impl), nil
 			})
 		}
 		return obsStream(e.injectStream("coalesce", &pstream{parts: out, schema: schema}), st), nil
 	}
-	if n.Streaming {
-		st := parent.Child("Coalesce", "streaming")
-		in, err := e.build(n.In, st)
-		if err != nil {
-			return nil, err
-		}
-		it := e.govern(engine.NewStreamCoalesceIter(e.merge(in, st)))
-		return obsStream(e.injectStream("coalesce", &pstream{seq: it, schema: it.Schema()}), st), nil
-	}
-	st := parent.Child("Coalesce", "blocking")
 	in, err := e.table(n.In, st)
 	if err != nil {
 		return nil, err
@@ -706,24 +650,15 @@ func (e *executor) buildCoalesce(n engine.CoalesceP, parent *engine.OpStats) (*p
 
 // buildAgg compiles split-based aggregation. Grouped aggregation with
 // multiple workers hash-partitions the input on the grouping columns
-// and every worker runs an independent split/aggregate sweep — the
-// sweep never crosses group boundaries, so the merged output is
-// multiset-identical. When the planner guaranteed begin-sorted input
-// (n.Streaming, pre-aggregated only), the order-preserving repartition
-// keeps every partition begin-sorted and each worker runs the STREAMING
-// pre-aggregated sweep; otherwise the workers materialize and run the
-// blocking sweep. Global aggregation (a single group) cannot be
-// partitioned, but with the sort property it now streams over the
-// ordered merge of all fragments instead of materializing.
+// and every worker runs an independent split/aggregate sweep over its
+// materialized partition — the sweep never crosses group boundaries,
+// so the merged output is multiset-identical. Global aggregation (a
+// single group) cannot be partitioned and runs sequentially over the
+// merged input.
 func (e *executor) buildAgg(n engine.AggP, parent *engine.OpStats) (*pstream, error) {
 	dom := e.db.Domain()
+	st := parent.Child("Agg", aggDetail(n))
 	if e.workers > 1 && len(n.GroupBy) > 0 {
-		var st *engine.OpStats
-		if n.Streaming && n.PreAgg {
-			st = parent.Child("Agg", "streaming")
-		} else {
-			st = parent.Child("Agg", blockingAggDetail(n))
-		}
 		in, err := e.build(n.In, st)
 		if err != nil {
 			return nil, err
@@ -746,26 +681,6 @@ func (e *executor) buildAgg(n engine.AggP, parent *engine.OpStats) (*pstream, er
 			in.close()
 			return nil, err
 		}
-		if n.Streaming && n.PreAgg {
-			parts := e.hashPartitionOrdered(in.sources(), keyIdx, st)
-			out := make([]engine.RowIter, len(parts))
-			for i, part := range parts {
-				it, err := engine.NewStreamAggIter(part, n.GroupBy, n.Aggs, dom)
-				if err != nil {
-					// The constructor closed part; release the rest. The
-					// partition goroutines are reaped by Exec's cancel path.
-					for j := 0; j < i; j++ {
-						out[j].Close()
-					}
-					for j := i + 1; j < len(parts); j++ {
-						parts[j].Close()
-					}
-					return nil, err
-				}
-				out[i] = e.govern(it)
-			}
-			return obsStream(e.injectStream("agg", &pstream{parts: out, schema: empty.Schema}), st), nil
-		}
 		parts := e.hashPartition(in.sources(), keyIdx, st)
 		out := make([]engine.RowIter, len(parts))
 		for i, part := range parts {
@@ -773,30 +688,12 @@ func (e *executor) buildAgg(n engine.AggP, parent *engine.OpStats) (*pstream, er
 			// failure here is either a failed partition drain or a genuine
 			// executor bug — both propagate through Err instead of yielding
 			// a silently empty partition.
-			out[i] = newLazySweepIter(part, empty.Schema, func(t *engine.Table) (*engine.Table, error) {
+			out[i] = e.newLazySweepIter(part, empty.Schema, st, func(t *engine.Table) (*engine.Table, error) {
 				return engine.TemporalAggregate(t, n.GroupBy, n.Aggs, n.PreAgg, dom)
 			})
 		}
 		return obsStream(e.injectStream("agg", &pstream{parts: out, schema: empty.Schema}), st), nil
 	}
-	// The single-group streaming sweep needs one begin-ordered stream;
-	// the order-preserving merge exchange provides it even over
-	// multiple fragments, so the sequential-engine restriction of the
-	// blocking-only executor is gone.
-	if n.Streaming && n.PreAgg {
-		st := parent.Child("Agg", "streaming")
-		in, err := e.build(n.In, st)
-		if err != nil {
-			return nil, err
-		}
-		it, err := engine.NewStreamAggIter(e.merge(in, st), n.GroupBy, n.Aggs, dom)
-		if err != nil {
-			return nil, err
-		}
-		g := e.govern(it)
-		return obsStream(e.injectStream("agg", &pstream{seq: g, schema: g.Schema()}), st), nil
-	}
-	st := parent.Child("Agg", blockingAggDetail(n))
 	in, err := e.table(n.In, st)
 	if err != nil {
 		return nil, err
@@ -810,32 +707,22 @@ func (e *executor) buildAgg(n engine.AggP, parent *engine.OpStats) (*pstream, er
 	return obsStream(&pstream{seq: engine.NewTableIter(out), schema: out.Schema}, st), nil
 }
 
-// blockingAggDetail names the blocking aggregation flavor.
-func blockingAggDetail(n engine.AggP) string {
+// aggDetail names the split flavor of an aggregation.
+func aggDetail(n engine.AggP) string {
 	if n.PreAgg {
-		return "blocking pre-agg"
+		return "pre-agg"
 	}
-	return "blocking"
+	return "naive"
 }
 
 // buildDiff compiles snapshot-reducible difference. With multiple
 // workers both inputs are hash-partitioned on the full data tuple with
 // the same hash, so value-equivalent groups of both sides meet in the
-// same worker and each worker computes an independent fused diff sweep.
-// When the planner guaranteed begin-sorted children (n.Streaming), BOTH
-// sides go through the ORDER-PRESERVING repartition exchange — every
-// partition pair stays begin-sorted — and each worker runs the
-// streaming merge-based diff with O(open intervals + active groups)
-// state instead of materializing its partitions; the materializing
-// per-partition diff remains as the blocking ablation.
+// same worker and each worker computes an independent fused diff sweep
+// over its two materialized partitions.
 func (e *executor) buildDiff(n engine.DiffP, parent *engine.OpStats) (*pstream, error) {
+	st := parent.Child("Diff", "")
 	if e.workers > 1 {
-		var st *engine.OpStats
-		if n.Streaming {
-			st = parent.Child("Diff", "streaming")
-		} else {
-			st = parent.Child("Diff", "blocking")
-		}
 		l, err := e.build(n.L, st)
 		if err != nil {
 			return nil, err
@@ -852,68 +739,14 @@ func (e *executor) buildDiff(n engine.DiffP, parent *engine.OpStats) (*pstream, 
 		}
 		schema := l.schema
 		keyIdx := dataIdx(schema)
-		if n.Streaming {
-			lp := e.hashPartitionOrdered(l.sources(), keyIdx, st)
-			rp := e.hashPartitionOrdered(r.sources(), keyIdx, st)
-			out := make([]engine.RowIter, len(lp))
-			for i := range lp {
-				it, err := engine.NewStreamDiffIter(lp[i], rp[i])
-				if err != nil {
-					// Arity compatibility was validated above, so this is
-					// an executor bug — but it still must tear down cleanly:
-					// the constructor closed lp[i]/rp[i]; release the rest
-					// (the partition goroutines are reaped by Exec's cancel
-					// path) and surface the error instead of panicking.
-					for j := 0; j < i; j++ {
-						out[j].Close()
-					}
-					for j := i + 1; j < len(lp); j++ {
-						lp[j].Close()
-						rp[j].Close()
-					}
-					return nil, err
-				}
-				out[i] = e.govern(it)
-			}
-			return obsStream(e.injectStream("diff", &pstream{parts: out, schema: schema}), st), nil
-		}
-		// Arity compatibility (checked above) is the only failure mode of
-		// TemporalDiff; a failure here still propagates through Err rather
-		// than yielding a silently empty partition.
-		diff := func(lt, rt *engine.Table) (*engine.Table, error) {
-			return engine.TemporalDiff(lt, rt)
-		}
 		lp := e.hashPartition(l.sources(), keyIdx, st)
 		rp := e.hashPartition(r.sources(), keyIdx, st)
 		out := make([]engine.RowIter, len(lp))
 		for i := range lp {
-			out[i] = newLazyDiffIter(lp[i], rp[i], schema, diff)
+			out[i] = e.newLazyDiffIter(lp[i], rp[i], schema, st)
 		}
 		return obsStream(e.injectStream("diff", &pstream{parts: out, schema: schema}), st), nil
 	}
-	// The streaming merge sweep needs one begin-ordered stream per side;
-	// the order-preserving merge exchange provides it even over multiple
-	// fragments, so the sequential streaming diff composes with parallel
-	// children exactly like global streaming aggregation.
-	if n.Streaming {
-		st := parent.Child("Diff", "streaming")
-		l, err := e.build(n.L, st)
-		if err != nil {
-			return nil, err
-		}
-		r, err := e.build(n.R, st)
-		if err != nil {
-			l.close()
-			return nil, err
-		}
-		it, err := engine.NewStreamDiffIter(e.merge(l, st), e.merge(r, st))
-		if err != nil {
-			return nil, err
-		}
-		g := e.govern(it)
-		return obsStream(e.injectStream("diff", &pstream{seq: g, schema: g.Schema()}), st), nil
-	}
-	st := parent.Child("Diff", "blocking")
 	l, err := e.table(n.L, st)
 	if err != nil {
 		return nil, err
@@ -1033,13 +866,8 @@ func (e *executor) buildJoin(n engine.JoinP, parent *engine.OpStats) (*pstream, 
 
 // scanStream builds the scan side of a pstream over a stored (or
 // pruned-prefix) table: the shared construction of the ScanP case and
-// the zone-map-pruned windowed scan. Cached table metadata makes the
-// order probe O(1) on the load paths. A begin-sorted table yields
-// begin-sorted fragments: every morsel scan claims strictly increasing
-// row ranges from the shared cursor, so each fragment is an
-// order-preserving subsequence of the stored order.
+// the zone-map-pruned windowed scan.
 func (e *executor) scanStream(t *engine.Table, name string, st *engine.OpStats) *pstream {
-	ordered := t.BeginSorted()
 	if e.workers <= 1 {
 		// The sequential path runs entirely on the consumer's
 		// goroutine, so this ctx probe (amortized per batch / per
@@ -1047,29 +875,26 @@ func (e *executor) scanStream(t *engine.Table, name string, st *engine.OpStats) 
 		// blocking drains above it (sort enforcers, hash-join builds)
 		// end early when it fires instead of running to completion.
 		seq := engine.NewCtxIter(e.ctx, engine.NewTableIter(t), e.morsel)
-		return obsStream(e.injectStream("scan:"+name, &pstream{seq: seq, schema: t.Schema, ordered: ordered}), st)
+		return obsStream(e.injectStream("scan:"+name, &pstream{seq: seq, schema: t.Schema}), st)
 	}
 	ctr := new(atomic.Int64)
 	parts := make([]engine.RowIter, e.workers)
 	for i := range parts {
 		parts[i] = &morselTableIter{t: t, ctr: ctr, size: e.morsel}
 	}
-	return obsStream(e.injectStream("scan:"+name, &pstream{parts: parts, schema: t.Schema, ordered: ordered}), st)
+	return obsStream(e.injectStream("scan:"+name, &pstream{parts: parts, schema: t.Schema}), st)
 }
 
 // mapStream wraps every fragment (or the sequential iterator) of in with
 // a streaming operator constructor. wrap takes ownership of its input on
-// error, matching the engine constructors' contract. The wrapped
-// operators (Filter, Project) are per-row and carry the period
-// attributes through unchanged, so the sort property of the input is
-// preserved.
+// error, matching the engine constructors' contract.
 func (e *executor) mapStream(in *pstream, wrap func(engine.RowIter) (engine.RowIter, error)) (*pstream, error) {
 	if in.seq != nil {
 		it, err := wrap(in.seq)
 		if err != nil {
 			return nil, err
 		}
-		return &pstream{seq: it, schema: it.Schema(), ordered: in.ordered}, nil
+		return &pstream{seq: it, schema: it.Schema()}, nil
 	}
 	out := make([]engine.RowIter, len(in.parts))
 	for i, part := range in.parts {
@@ -1085,12 +910,13 @@ func (e *executor) mapStream(in *pstream, wrap func(engine.RowIter) (engine.RowI
 		}
 		out[i] = it
 	}
-	return &pstream{parts: out, schema: out[0].Schema(), ordered: in.ordered}, nil
+	return &pstream{parts: out, schema: out[0].Schema()}, nil
 }
 
 // table materializes a subplan — the input boundary of the blocking
-// operators. The subplan itself still runs with parallel fragments; a
-// canceled context surfaces as an error rather than a truncated table.
+// operators — and charges its rows to parent (see charge). The subplan
+// itself still runs with parallel fragments; a canceled context
+// surfaces as an error rather than a truncated table.
 func (e *executor) table(p engine.Plan, parent *engine.OpStats) (*engine.Table, error) {
 	s, err := e.build(p, parent)
 	if err != nil {
@@ -1100,6 +926,9 @@ func (e *executor) table(p engine.Plan, parent *engine.OpStats) (*engine.Table, 
 	defer it.Close()
 	t, err := engine.MaterializeErr(it)
 	if err := engine.FirstErr(err, e.errOf(), e.ctx.Err()); err != nil {
+		return nil, err
+	}
+	if err := e.charge(parent, int64(t.Len()), t.Schema.Arity()); err != nil {
 		return nil, err
 	}
 	return t, nil

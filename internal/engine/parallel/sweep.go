@@ -13,14 +13,17 @@ import (
 // blocking sweeps into W-wide parallel operators: the partitioning key
 // is the sweep's group key, so the per-partition sweeps are independent
 // and their merged outputs form exactly the sequential result multiset.
-// The ordered exchange + per-worker streaming sweeps supersede this on
-// begin-sorted input; it remains the blocking ablation baseline.
+// The materialized rows are charged to the sweep's node st (see
+// executor.charge), so the memory budget and max_state see every
+// partition.
 //
-// A failed partition drain or a failing fn ends the partition's stream
-// with NO rows — a sweep over a truncated partition would be a silently
-// wrong multiset — and the error propagates through Err per the
-// error-carrying iterator protocol.
+// A failed partition drain, a tripped memory budget or a failing fn
+// ends the partition's stream with NO rows — a sweep over a truncated
+// partition would be a silently wrong multiset — and the error
+// propagates through Err per the error-carrying iterator protocol.
 type lazySweepIter struct {
+	e      *executor
+	st     *engine.OpStats
 	in     engine.RowIter
 	schema tuple.Schema
 	fn     func(*engine.Table) (*engine.Table, error)
@@ -29,9 +32,9 @@ type lazySweepIter struct {
 }
 
 // newLazySweepIter wraps one partition with a sweep function; schema is
-// the sweep's output schema.
-func newLazySweepIter(in engine.RowIter, schema tuple.Schema, fn func(*engine.Table) (*engine.Table, error)) engine.RowIter {
-	return &lazySweepIter{in: in, schema: schema, fn: fn}
+// the sweep's output schema and st the sweep's stats node.
+func (e *executor) newLazySweepIter(in engine.RowIter, schema tuple.Schema, st *engine.OpStats, fn func(*engine.Table) (*engine.Table, error)) engine.RowIter {
+	return &lazySweepIter{e: e, st: st, in: in, schema: schema, fn: fn}
 }
 
 func (it *lazySweepIter) Schema() tuple.Schema { return it.schema }
@@ -42,6 +45,9 @@ func (it *lazySweepIter) Next() (tuple.Tuple, bool) {
 	}
 	if it.out == nil {
 		t, err := engine.MaterializeErr(it.in)
+		if err == nil {
+			err = it.e.charge(it.st, int64(t.Len()), t.Schema.Arity())
+		}
 		if err == nil {
 			t, err = it.fn(t)
 		}
@@ -70,19 +76,20 @@ func (it *lazySweepIter) Close() {
 
 // lazyDiffIter is the two-input form of lazySweepIter for the fused
 // difference sweep: both sides of one hash partition are materialized
-// on first Next and diffed through fn. A failed drain on either side —
-// or a failing fn — ends the stream with no rows and surfaces through
-// Err.
+// on first Next, charged to st, and diffed. A failed drain on either
+// side, a tripped memory budget or a failing diff ends the stream with
+// no rows and surfaces through Err.
 type lazyDiffIter struct {
+	e      *executor
+	st     *engine.OpStats
 	l, r   engine.RowIter
 	schema tuple.Schema
-	fn     func(l, r *engine.Table) (*engine.Table, error)
 	out    engine.RowIter
 	err    error
 }
 
-func newLazyDiffIter(l, r engine.RowIter, schema tuple.Schema, fn func(l, r *engine.Table) (*engine.Table, error)) engine.RowIter {
-	return &lazyDiffIter{l: l, r: r, schema: schema, fn: fn}
+func (e *executor) newLazyDiffIter(l, r engine.RowIter, schema tuple.Schema, st *engine.OpStats) engine.RowIter {
+	return &lazyDiffIter{e: e, st: st, l: l, r: r, schema: schema}
 }
 
 func (it *lazyDiffIter) Schema() tuple.Schema { return it.schema }
@@ -94,11 +101,18 @@ func (it *lazyDiffIter) Next() (tuple.Tuple, bool) {
 	if it.out == nil {
 		lt, lErr := engine.MaterializeErr(it.l)
 		rt, rErr := engine.MaterializeErr(it.r)
-		if err := engine.FirstErr(lErr, rErr); err != nil {
-			it.err = err
-			return nil, false
+		err := engine.FirstErr(lErr, rErr)
+		if err == nil {
+			err = it.e.charge(it.st, int64(lt.Len()+rt.Len()), it.schema.Arity())
 		}
-		t, err := it.fn(lt, rt)
+		var t *engine.Table
+		if err == nil {
+			// Arity compatibility, checked before the partitions were
+			// spawned, is TemporalDiff's only failure mode; a failure here
+			// still propagates through Err rather than yielding a silently
+			// empty partition.
+			t, err = engine.TemporalDiff(lt, rt)
+		}
 		if err != nil {
 			it.err = err
 			return nil, false

@@ -61,54 +61,39 @@ type JoinP struct {
 // UnionP is UNION ALL.
 type UnionP struct{ L, R Plan }
 
-// DiffP is snapshot-reducible EXCEPT ALL via split (Fig 4). With
-// Streaming set the streaming executor runs the ℕ-monus difference as a
-// two-input begin-sorted merge sweep with O(open intervals + active
-// groups) state instead of materializing both inputs; the planner
-// (package rewrite) only sets it when the interval-endpoint order of
-// BOTH children is guaranteed.
-type DiffP struct {
-	L, R      Plan
-	Streaming bool
-}
+// DiffP is snapshot-reducible EXCEPT ALL via split (Fig 4). Every
+// executor runs it as a blocking sweep: both inputs are materialized,
+// then the ℕ-monus difference is swept per value-equivalent group.
+type DiffP struct{ L, R Plan }
 
 // AggP is snapshot-reducible aggregation via split (Fig 4); PreAgg
-// selects the §9 pre-aggregation optimization. With Streaming set the
-// streaming executor runs the pre-aggregated sweep incrementally over
-// begin-sorted input with O(active-groups) state instead of
-// materializing the input first; the planner (package rewrite) only sets
-// it when PreAgg holds and the input order is guaranteed.
+// selects the §9 pre-aggregation optimization. The input is
+// materialized, then split and aggregated in one endpoint sweep.
 type AggP struct {
-	GroupBy   []string
-	Aggs      []algebra.AggSpec
-	PreAgg    bool
-	Streaming bool
-	In        Plan
+	GroupBy []string
+	Aggs    []algebra.AggSpec
+	PreAgg  bool
+	In      Plan
 }
 
-// CoalesceP applies the coalesce operator C (Def 8.2). With Streaming
-// set the streaming executor coalesces incrementally over begin-sorted
-// input with O(active-groups) state; the planner only sets it when the
-// input order is guaranteed.
+// CoalesceP applies the coalesce operator C (Def 8.2) over its
+// materialized input.
 type CoalesceP struct {
-	Impl      CoalesceImpl
-	Streaming bool
-	In        Plan
+	Impl CoalesceImpl
+	In   Plan
 }
 
 // SortP is the interval-endpoint sort enforcer: it materializes its
 // input and re-emits it ordered by (begin, end). Semantically it is the
-// identity on multisets; physically it establishes the begin order the
-// streaming sweep operators require.
+// identity on multisets. The planner never inserts one; it remains a
+// plan node for hand-built plans and tools that need sorted output.
 type SortP struct{ In Plan }
 
 // WindowP is the timeslice operator τ_T over period encodings: every
 // row's validity interval is clipped to the window T, and rows not
 // overlapping T are dropped. Snapshot-reducibility lets the planner's
 // pushdown pass (package rewrite, which documents the per-operator
-// legality rules) move it from the plan root toward the scans. Clipping
-// takes max(begin, T.Begin), which is non-decreasing for begin-sorted
-// input, so WindowP preserves the interval-endpoint sort property.
+// legality rules) move it from the plan root toward the scans.
 //
 // A WindowP node always clips — an invalid T yields the empty result;
 // "no window" is expressed by not inserting the node. Prune permits the
@@ -145,29 +130,16 @@ func (p ProjectP) String() string {
 }
 func (p JoinP) String() string  { return fmt.Sprintf("TJoin[%s](%s, %s)", p.Pred, p.L, p.R) }
 func (p UnionP) String() string { return fmt.Sprintf("UnionAll(%s, %s)", p.L, p.R) }
-func (p DiffP) String() string {
-	if p.Streaming {
-		return fmt.Sprintf("StreamTDiff(%s, %s)", p.L, p.R)
-	}
-	return fmt.Sprintf("TDiff(%s, %s)", p.L, p.R)
-}
+func (p DiffP) String() string  { return fmt.Sprintf("TDiff(%s, %s)", p.L, p.R) }
 func (p AggP) String() string {
 	mode := "naive"
 	if p.PreAgg {
 		mode = "preagg"
 	}
-	if p.Streaming {
-		mode += ";stream"
-	}
 	return fmt.Sprintf("TAgg[%v;%s](%s)", p.GroupBy, mode, p.In)
 }
-func (p CoalesceP) String() string {
-	if p.Streaming {
-		return fmt.Sprintf("StreamCoalesce(%s)", p.In)
-	}
-	return fmt.Sprintf("Coalesce(%s)", p.In)
-}
-func (p SortP) String() string { return fmt.Sprintf("SortByEndpoints(%s)", p.In) }
+func (p CoalesceP) String() string { return fmt.Sprintf("Coalesce(%s)", p.In) }
+func (p SortP) String() string     { return fmt.Sprintf("SortByEndpoints(%s)", p.In) }
 func (p WindowP) String() string {
 	return fmt.Sprintf("Window[%s](%s)", p.T, p.In)
 }
@@ -201,54 +173,19 @@ func CountCoalesce(p Plan) int {
 	}
 }
 
-// BeginOrdered reports whether the output of p is guaranteed to be
-// ordered by ascending interval begin: the physical property the
-// streaming sweep operators require.
-func (db *DB) BeginOrdered(p Plan) bool {
-	return BeginOrderedWith(p, db.ScanBeginSorted)
-}
-
 // ScanBeginSorted reports whether the stored table name is begin-sorted
 // (false for unknown tables). Tables loaded through Append or sorted
 // through SortByEndpoints answer from cached metadata in O(1); only
-// hand-built tables (direct Rows writes) fall back to an O(n) rescan,
-// which the planner additionally memoizes per Rewrite call.
+// hand-built tables (direct Rows writes) fall back to an O(n) rescan.
 func (db *DB) ScanBeginSorted(name string) bool {
 	t, err := db.Table(name)
 	return err == nil && t.BeginSorted()
 }
 
-// BeginOrderedWith is BeginOrdered parameterized over the scan-order
-// source, so planners can layer caching over the O(n) table scans.
-// Filter and Project preserve their input order (they carry the period
-// attributes through unchanged), the sort enforcer establishes it, and
-// a table scan provides it when the stored rows happen to be
-// begin-sorted. Everything else — unions (concatenation), joins
-// (intersection periods), the sweep outputs themselves — makes no
-// global order guarantee.
-func BeginOrderedWith(p Plan, scanSorted func(string) bool) bool {
-	switch n := p.(type) {
-	case ScanP:
-		return scanSorted(n.Name)
-	case FilterP:
-		return BeginOrderedWith(n.In, scanSorted)
-	case ProjectP:
-		return BeginOrderedWith(n.In, scanSorted)
-	case WindowP:
-		// Clipping maps begin to max(begin, T.Begin) — monotone, so a
-		// begin-sorted input stays begin-sorted.
-		return BeginOrderedWith(n.In, scanSorted)
-	case SortP:
-		return true
-	default:
-		return false
-	}
-}
-
 // Coalesced reports whether the output of p is guaranteed to be the
 // unique coalesced encoding, so that a coalesce above it would be the
 // identity. The pre-aggregated split and the difference emit the unique
-// encoding in both their forms. Over a coalesced input it stays
+// encoding. Over a coalesced input it stays
 // coalesced through
 //
 //   - a Filter whose predicate reads no period attribute: it keeps or

@@ -2,7 +2,7 @@
 
 // The snapdebug build tag compiles in a runtime assertion layer for
 // the two engine invariants that static analysis cannot fully prove:
-// begin-sort order of streams feeding the sweeps, and immutability of
+// begin-sort order of the sort enforcer's output, and immutability of
 // yielded rows across Next calls. With the tag, CheckOrdered and
 // CheckNoAlias wrap iterators with asserting shims that panic naming
 // the offending operator; without it (snapdebug_off.go) they are
@@ -24,10 +24,10 @@ func DebugChecks() bool { return true }
 
 // CheckOrdered wraps in with an assertion that its rows are emitted in
 // ascending begin order — the begin component of the canonical
-// CompareEndpoints (begin, end) order, and exactly the physical
-// property the streaming sweeps rely on (morsel fragments and
-// Append-maintained tables are begin-sorted but not endpoint-sorted,
-// so asserting the full order would reject valid streams). The op name
+// CompareEndpoints (begin, end) order, which the sort enforcer
+// promises (Append-maintained tables are begin-sorted but not
+// endpoint-sorted, so asserting the full order would reject valid
+// streams). The op name
 // appears in the panic diagnostic.
 func CheckOrdered(op string, in RowIter) RowIter {
 	if bi, ok := in.(BatchIter); ok {

@@ -680,26 +680,7 @@ func (db *DB) ExecStreamObs(p Plan, parent *OpStats) (RowIter, error) {
 		}
 		return NewObsIter(it, st), nil
 	case DiffP:
-		if n.Streaming {
-			st := parent.Child("Diff", "streaming")
-			l, err := db.ExecStreamObs(n.L, st)
-			if err != nil {
-				return nil, err
-			}
-			r, err := db.ExecStreamObs(n.R, st)
-			if err != nil {
-				l.Close()
-				return nil, err
-			}
-			it, err := NewStreamDiffIter(l, r)
-			if err != nil {
-				return nil, err
-			}
-			// ObsIter sits inside the aliasing check so its StateSizer
-			// assertion reaches the sweep iterator directly.
-			return CheckNoAlias("streaming difference", NewObsIter(it, st)), nil
-		}
-		st := parent.Child("Diff", "blocking")
+		st := parent.Child("Diff", "")
 		l, err := db.streamToTableObs(n.L, st)
 		if err != nil {
 			return nil, err
@@ -708,6 +689,7 @@ func (db *DB) ExecStreamObs(p Plan, parent *OpStats) (RowIter, error) {
 		if err != nil {
 			return nil, err
 		}
+		st.AddState(int64(l.Len() + r.Len()))
 		done := st.Span()
 		out, err := TemporalDiff(l, r)
 		done()
@@ -716,23 +698,12 @@ func (db *DB) ExecStreamObs(p Plan, parent *OpStats) (RowIter, error) {
 		}
 		return NewObsIter(NewTableIter(out), st), nil
 	case AggP:
-		if n.Streaming && n.PreAgg {
-			st := parent.Child("Agg", "streaming")
-			in, err := db.ExecStreamObs(n.In, st)
-			if err != nil {
-				return nil, err
-			}
-			it, err := NewStreamAggIter(in, n.GroupBy, n.Aggs, db.dom)
-			if err != nil {
-				return nil, err
-			}
-			return CheckNoAlias("streaming aggregation", NewObsIter(it, st)), nil
-		}
 		st := parent.Child("Agg", aggDetail(n))
 		in, err := db.streamToTableObs(n.In, st)
 		if err != nil {
 			return nil, err
 		}
+		st.AddState(int64(in.Len()))
 		done := st.Span()
 		out, err := TemporalAggregate(in, n.GroupBy, n.Aggs, n.PreAgg, db.dom)
 		done()
@@ -741,19 +712,12 @@ func (db *DB) ExecStreamObs(p Plan, parent *OpStats) (RowIter, error) {
 		}
 		return NewObsIter(NewTableIter(out), st), nil
 	case CoalesceP:
-		if n.Streaming {
-			st := parent.Child("Coalesce", "streaming")
-			in, err := db.ExecStreamObs(n.In, st)
-			if err != nil {
-				return nil, err
-			}
-			return CheckNoAlias("streaming coalesce", NewObsIter(NewStreamCoalesceIter(in), st)), nil
-		}
-		st := parent.Child("Coalesce", "blocking")
+		st := parent.Child("Coalesce", "")
 		in, err := db.streamToTableObs(n.In, st)
 		if err != nil {
 			return nil, err
 		}
+		st.AddState(int64(in.Len()))
 		done := st.Span()
 		out := Coalesce(in, n.Impl)
 		done()
@@ -812,12 +776,12 @@ func joinDetail(lSchema, rSchema tuple.Schema, pred algebra.Expr, buildLeft bool
 	return "hash build=right"
 }
 
-// aggDetail names the blocking aggregation flavor.
+// aggDetail names the split flavor of an aggregation.
 func aggDetail(n AggP) string {
 	if n.PreAgg {
-		return "blocking pre-agg"
+		return "pre-agg"
 	}
-	return "blocking"
+	return "naive"
 }
 
 // NewFilterIter wraps in with the pipelined Filter operator. It takes
@@ -861,3 +825,71 @@ func (db *DB) streamToTableObs(p Plan, parent *OpStats) (*Table, error) {
 	defer it.Close()
 	return MaterializeErr(it)
 }
+
+// sortIter is the interval-endpoint sort enforcer: it drains its input
+// on first use, sorts the rows by (begin, end) with the shared endpoint
+// comparator, and re-emits them.
+type sortIter struct {
+	in     RowIter
+	rows   []tuple.Tuple
+	i      int
+	loaded bool
+	err    error
+}
+
+// NewSortIter wraps in with the endpoint sort enforcer, taking
+// ownership of it.
+func NewSortIter(in RowIter) RowIter {
+	return CheckOrdered("sort enforcer", &sortIter{in: in})
+}
+
+func (it *sortIter) Schema() tuple.Schema { return it.in.Schema() }
+
+// load drains and sorts the input on first use. A drain terminated by
+// an error yields NO rows: emitting a sorted prefix of a failed stream
+// would be silent truncation, so the sort surfaces the error and
+// nothing else.
+func (it *sortIter) load() {
+	it.rows, it.err = drainRowsErr(it.in)
+	if it.err != nil {
+		it.rows = nil
+	}
+	SortRowsByEndpoints(it.rows)
+	it.loaded = true
+}
+
+func (it *sortIter) Next() (tuple.Tuple, bool) {
+	if !it.loaded {
+		it.load()
+	}
+	if it.i >= len(it.rows) {
+		return nil, false
+	}
+	row := it.rows[it.i]
+	it.i++
+	return row, true
+}
+
+// NextBatch re-emits the sorted rows chunk-at-a-time; the drain on
+// first use already reads the child batch-at-a-time via drainRowsErr.
+func (it *sortIter) NextBatch(b *RowBatch) bool {
+	if !it.loaded {
+		it.load()
+	}
+	b.Reset()
+	n := len(it.rows) - it.i
+	if n <= 0 {
+		return false
+	}
+	if c := batchCapOf(b); n > c {
+		n = c
+	}
+	b.Rows = append(b.Rows, it.rows[it.i:it.i+n]...)
+	it.i += n
+	return true
+}
+
+func (it *sortIter) Close() { it.in.Close() }
+
+// Err reports the drain error captured at load time, else the input's.
+func (it *sortIter) Err() error { return FirstErr(it.err, IterErr(it.in)) }

@@ -66,23 +66,12 @@ func runParallel(t *testing.T, db *engine.DB, p engine.Plan) *engine.Table {
 	return engine.Materialize(it)
 }
 
-// All executors and sweep variants must produce multiset-identical
-// results on every generated plan: Exec (the SeqMaterialized ablation)
-// on the blocking-sweep plan is the reference; ExecStream and the
-// parallel exchange executor are checked against it for every sweep
-// mode (auto, forced streaming with sort enforcers, forced blocking),
+// All executors must produce multiset-identical results on every
+// generated plan: Exec (the SeqMaterialized ablation) is the reference;
+// ExecStream and the parallel exchange executor are checked against it,
 // over both the generated database and a deliberately pre-sorted copy
-// (begin-sorted stored tables trigger the planner's automatic streaming
-// sweeps).
+// (begin-sorted stored tables carry different table metadata).
 func TestStreamMaterializeEquivalence(t *testing.T) {
-	sweeps := []struct {
-		name string
-		mode rewrite.SweepMode
-	}{
-		{"auto", rewrite.SweepAuto},
-		{"streaming", rewrite.SweepStreaming},
-		{"blocking", rewrite.SweepBlocking},
-	}
 	for seed := int64(0); seed < 200; seed++ {
 		g := qgen.New(seed)
 		spec := g.GenDB()
@@ -96,30 +85,24 @@ func TestStreamMaterializeEquivalence(t *testing.T) {
 		} {
 			db := variant.db
 			for _, mode := range []rewrite.Mode{rewrite.ModeOptimized, rewrite.ModeNaive} {
-				ref, err := rewrite.Rewrite(q, db, rewrite.Options{Mode: mode, Sweep: rewrite.SweepBlocking})
+				p, err := rewrite.Rewrite(q, db, rewrite.Options{Mode: mode})
 				if err != nil {
 					t.Fatalf("seed %d: rewrite: %v", seed, err)
 				}
-				mat, err := db.Exec(ref)
+				mat, err := db.Exec(p)
 				if err != nil {
-					t.Fatalf("seed %d: Exec(%s): %v", seed, ref, err)
+					t.Fatalf("seed %d: Exec(%s): %v", seed, p, err)
 				}
 				want := sortedKeys(mat)
-				for _, sw := range sweeps {
-					p, err := rewrite.Rewrite(q, db, rewrite.Options{Mode: mode, Sweep: sw.mode})
-					if err != nil {
-						t.Fatalf("seed %d: rewrite(%s): %v", seed, sw.name, err)
-					}
-					str := runStream(t, db, p)
-					if !sameMultiset(want, sortedKeys(str)) {
-						t.Fatalf("seed %d %s mode %d sweep %s: streaming result diverges from materializing reference\nplan: %s\nreference:\n%s\nstreamed:\n%s",
-							seed, variant.name, mode, sw.name, p, mat, str)
-					}
-					par := runParallel(t, db, p)
-					if !sameMultiset(want, sortedKeys(par)) {
-						t.Fatalf("seed %d %s mode %d sweep %s: parallel result diverges from materializing reference\nplan: %s\nreference:\n%s\nparallel:\n%s",
-							seed, variant.name, mode, sw.name, p, mat, par)
-					}
+				str := runStream(t, db, p)
+				if !sameMultiset(want, sortedKeys(str)) {
+					t.Fatalf("seed %d %s mode %d: streaming result diverges from materializing reference\nplan: %s\nreference:\n%s\nstreamed:\n%s",
+						seed, variant.name, mode, p, mat, str)
+				}
+				par := runParallel(t, db, p)
+				if !sameMultiset(want, sortedKeys(par)) {
+					t.Fatalf("seed %d %s mode %d: parallel result diverges from materializing reference\nplan: %s\nreference:\n%s\nparallel:\n%s",
+						seed, variant.name, mode, p, mat, par)
 				}
 			}
 		}

@@ -15,10 +15,9 @@
 // # Table metadata invariants
 //
 // Every Table carries cached physical-property metadata — begin-
-// sortedness (the order the streaming sweep operators need) and
-// coalescedness (whether the rows are their own unique encoding) — so
-// the planner can probe scan order in O(1) instead of rescanning stored
-// rows on every plan build. The mutator methods maintain the cache; any
+// sortedness and coalescedness (whether the rows are their own unique
+// encoding) — so window pruning and DB.ScanBeginSorted probe scan order
+// in O(1) instead of rescanning stored rows. The mutator methods maintain the cache; any
 // code that writes the exported Rows slice directly must call SetRows
 // or InvalidateMeta. The full who-sets / who-invalidates / concurrency
 // contract, along with every other engine invariant and the snaplint
@@ -219,8 +218,7 @@ func (t *Table) BeginSorted() bool {
 }
 
 // SortByEndpoints reorders the stored rows into (begin, end) endpoint
-// order, establishing the streaming sweep operators' input order (and
-// recording it in the metadata).
+// order and records the begin order in the metadata.
 func (t *Table) SortByEndpoints() {
 	SortRowsByEndpoints(t.Rows)
 	t.meta.sorted = propTrue

@@ -14,9 +14,8 @@ import (
 // interval multiset over (g, x): a grouping column with NULLs and an
 // aggregate argument that mixes ints, integral and half-integral floats
 // and NULLs — (group, argument, begin, span-and-multiplicity). Halves
-// keep every float sum exact, so the blocking and streaming sweeps and
-// the hash-aggregation oracle agree on values whatever order they add
-// them in; integral floats next to ints exercise the merges' key
+// keep every float sum exact, so the sweep and the hash-aggregation
+// oracle agree on values whatever order they add them in; integral floats next to ints exercise the merges' key
 // equality (a sum of 1 and a sum of 1.0 are one value).
 func decodeFuzzAggTable(data []byte) *engine.Table {
 	if len(data) > 240 {
@@ -48,21 +47,12 @@ func decodeFuzzAggTable(data []byte) *engine.Table {
 	return tbl
 }
 
-// sortedCopy returns t ordered by interval begin: the streaming sweeps'
-// input.
-func sortedCopy(t *engine.Table) *engine.Table {
-	s := t.Clone()
-	s.SortByEndpoints()
-	return s
-}
-
 // FuzzSweepsEmitUniqueEncoding checks that the aggregation and
 // difference sweeps emit the unique coalesced encoding themselves,
 // which is what lets the planner drop the final coalesce above them.
-// For each sweep, the blocking and the streaming form must both pass
-// IsCoalesced and produce identical row multisets; the aggregation
-// must also equal the coalesced naive split-and-hash aggregation, and
-// the difference the per-time-point ℕ-monus oracle. The seeds cover
+// Each sweep's output must pass IsCoalesced; the aggregation must also
+// equal the coalesced naive split-and-hash aggregation, and the
+// difference the per-time-point ℕ-monus oracle. The seeds cover
 // ties, boundaries where one interval ends as another begins (a zero
 // net delta), duplicates, and NULL and float arguments.
 func FuzzSweepsEmitUniqueEncoding(f *testing.F) {
@@ -88,50 +78,33 @@ func FuzzSweepsEmitUniqueEncoding(f *testing.F) {
 			{Fn: krel.Max, Arg: "x", As: "hi"},
 		}
 		for _, groupBy := range [][]string{{"g"}, nil} {
-			blocking, err := engine.TemporalAggregate(tbl, groupBy, aggs, true, fuzzDomain)
+			got, err := engine.TemporalAggregate(tbl, groupBy, aggs, true, fuzzDomain)
 			if err != nil {
 				t.Fatal(err)
 			}
-			it, err := engine.NewStreamAggIter(engine.NewTableIter(sortedCopy(tbl)), groupBy, aggs, fuzzDomain)
-			if err != nil {
-				t.Fatal(err)
-			}
-			streaming := engine.Materialize(engine.CheckNoAlias("streaming aggregation", it))
 			naive, err := engine.TemporalAggregate(tbl, groupBy, aggs, false, fuzzDomain)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := engine.Coalesce(naive, engine.CoalesceNative)
-			for name, got := range map[string]*engine.Table{"blocking": blocking, "streaming": streaming} {
-				if !engine.IsCoalesced(got, engine.CoalesceNative) {
-					t.Fatalf("%s aggregation (group by %v) is not coalesced\ninput:\n%s\noutput:\n%s", name, groupBy, tbl, got)
-				}
-				if !sameCounts(multisetKeys(want), multisetKeys(got)) {
-					t.Fatalf("%s aggregation (group by %v) differs from the coalesced naive split\ninput:\n%s\nwant:\n%s\ngot:\n%s", name, groupBy, tbl, want, got)
-				}
+			if !engine.IsCoalesced(got, engine.CoalesceNative) {
+				t.Fatalf("aggregation (group by %v) is not coalesced\ninput:\n%s\noutput:\n%s", groupBy, tbl, got)
+			}
+			if !sameCounts(multisetKeys(want), multisetKeys(got)) {
+				t.Fatalf("aggregation (group by %v) differs from the coalesced naive split\ninput:\n%s\nwant:\n%s\ngot:\n%s", groupBy, tbl, want, got)
 			}
 		}
 
 		l, r := decodeFuzzPair(data)
-		blocking, err := engine.TemporalDiff(l, r)
+		got, err := engine.TemporalDiff(l, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		it, err := engine.NewStreamDiffIter(engine.NewTableIter(sortedCopy(l)), engine.NewTableIter(sortedCopy(r)))
-		if err != nil {
-			t.Fatal(err)
+		if !engine.IsCoalesced(got, engine.CoalesceNative) {
+			t.Fatalf("difference is not coalesced\nleft:\n%s\nright:\n%s\noutput:\n%s", l, r, got)
 		}
-		streaming := engine.Materialize(engine.CheckNoAlias("streaming difference", it))
-		for name, got := range map[string]*engine.Table{"blocking": blocking, "streaming": streaming} {
-			if !engine.IsCoalesced(got, engine.CoalesceNative) {
-				t.Fatalf("%s difference is not coalesced\nleft:\n%s\nright:\n%s\noutput:\n%s", name, l, r, got)
-			}
-			if !sameCounts(monusTimePointCounts(l, r), timePointCounts(got)) {
-				t.Fatalf("%s difference violates the per-time-point monus oracle\nleft:\n%s\nright:\n%s\noutput:\n%s", name, l, r, got)
-			}
-		}
-		if !sameCounts(multisetKeys(blocking), multisetKeys(streaming)) {
-			t.Fatalf("streaming difference differs from blocking\nleft:\n%s\nright:\n%s\nblocking:\n%s\nstreaming:\n%s", l, r, blocking, streaming)
+		if !sameCounts(monusTimePointCounts(l, r), timePointCounts(got)) {
+			t.Fatalf("difference violates the per-time-point monus oracle\nleft:\n%s\nright:\n%s\noutput:\n%s", l, r, got)
 		}
 	})
 }

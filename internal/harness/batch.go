@@ -12,8 +12,7 @@ import (
 )
 
 // batchSizeCap bounds the batch experiment input: the acceptance
-// measurement of the batch-vs-per-row study is the 50k-row begin-sorted
-// input, and larger configured Fig5 sizes add minutes without changing
+// measurement of the batch-vs-per-row study is the 50k-row input, and larger configured Fig5 sizes add minutes without changing
 // the comparison.
 const batchSizeCap = 50000
 
@@ -21,14 +20,17 @@ const batchSizeCap = 50000
 // per drive mode (batch NextBatch vs per-row Next ablation).
 type batchVariant struct {
 	name string
+	db   *engine.DB
 	plan engine.Plan
 	par  int // exchange workers; 0 = sequential streaming engine
 }
 
-// batchVariants are the hot converted pipelines: the pure
-// filter/project chain (where the per-row virtual-call tax is most
-// visible), the three streaming sweeps, and the exchange transport.
-func batchVariants() []batchVariant {
+// batchVariants are the hot converted pipelines over the n-row
+// coalescing and difference workloads: the pure filter/project chain
+// (where the per-row virtual-call tax is most visible), the three
+// sweeps, and the exchange transport.
+func batchVariants(n int) []batchVariant {
+	db := coalesceDB(n)
 	scan := engine.ScanP{Name: "sal"}
 	cheap := engine.FilterP{
 		// salaries are 40000..49000, so about half the rows survive —
@@ -37,25 +39,24 @@ func batchVariants() []batchVariant {
 		In:   scan,
 	}
 	return []batchVariant{
-		{name: "filter-project", plan: engine.ProjectP{
+		{name: "filter-project", db: db, plan: engine.ProjectP{
 			Exprs: []algebra.NamedExpr{{Name: "emp_no", E: algebra.Col("emp_no")}},
 			In:    cheap,
 		}},
-		{name: "coalesce-streaming", plan: engine.CoalesceP{In: scan, Streaming: true}},
-		{name: "agg-streaming", plan: aggPlan(true)(scan)},
-		{name: "diff-streaming", plan: engine.DiffP{L: scan, R: cheap, Streaming: true}},
-		{name: fmt.Sprintf("coalesce-parallel-x%d", DefaultWorkers),
+		{name: "coalesce", db: db, plan: engine.CoalesceP{In: scan}},
+		{name: "agg", db: db, plan: aggPlan(scan)},
+		{name: "diff", db: diffDB(n), plan: engine.DiffP{L: engine.ScanP{Name: "l"}, R: engine.ScanP{Name: "r"}}},
+		{name: fmt.Sprintf("coalesce-parallel-x%d", DefaultWorkers), db: db,
 			plan: engine.CoalesceP{In: scan}, par: DefaultWorkers},
 	}
 }
 
 // Batch measures the batch-at-a-time hop against the per-row Volcano
-// ablation on the hot pipelines, over the begin-sorted coalescing
-// workload. Both drives consume the SAME physical plan; only the drain
+// ablation on the hot pipelines. Both drives consume the SAME physical plan; only the drain
 // protocol (and, for the parallel variant, the exchange transport)
 // differs, so the delta is exactly the per-row pull tax the batch
 // protocol amortizes. The acceptance bar is batch ≤ per-row at the
-// 50k-row sorted input.
+// 50k-row input.
 func Batch(w io.Writer, sc Scale, rep *Report) error {
 	tw := NewTable("rows", "variant", "per-row (s)", "batch (s)", "speedup", "out rows")
 	for _, n := range sc.Fig5Sizes {
@@ -65,13 +66,12 @@ func Batch(w io.Writer, sc Scale, rep *Report) error {
 			fmt.Fprintf(w, "batch: skipping configured size %d (cap %d)\n", n, batchSizeCap)
 			continue
 		}
-		_, sortedDB := sweepInputs(n)
-		for _, v := range batchVariants() {
-			perRow, _, rowsPerRow, err := runBatchVariant(sortedDB, v, sc.Runs, false)
+		for _, v := range batchVariants(n) {
+			perRow, _, rowsPerRow, err := runBatchVariant(v, sc.Runs, false)
 			if err != nil {
 				return fmt.Errorf("batch %s (per-row): %w", v.name, err)
 			}
-			batched, allocs, rowsBatch, err := runBatchVariant(sortedDB, v, sc.Runs, true)
+			batched, allocs, rowsBatch, err := runBatchVariant(v, sc.Runs, true)
 			if err != nil {
 				return fmt.Errorf("batch %s (batch): %w", v.name, err)
 			}
@@ -97,7 +97,7 @@ func Batch(w io.Writer, sc Scale, rep *Report) error {
 // executor runs its per-row ablation (BatchSize -1) and the sequential
 // root is wrapped in engine.PerRow, so engine-internal consumers cannot
 // sneak back onto the batch path.
-func runBatchVariant(db *engine.DB, v batchVariant, runs int, batch bool) (d time.Duration, allocs float64, rows int, err error) {
+func runBatchVariant(v batchVariant, runs int, batch bool) (d time.Duration, allocs float64, rows int, err error) {
 	d, allocs, err = MedianAllocs(runs, func() error {
 		rows = 0
 		var it engine.RowIter
@@ -107,9 +107,9 @@ func runBatchVariant(db *engine.DB, v batchVariant, runs int, batch bool) (d tim
 			if !batch {
 				bs = -1
 			}
-			it, err = parallel.Exec(context.Background(), db, v.plan, parallel.Options{Workers: v.par, BatchSize: bs})
+			it, err = parallel.Exec(context.Background(), v.db, v.plan, parallel.Options{Workers: v.par, BatchSize: bs})
 		} else {
-			it, err = db.ExecStream(v.plan)
+			it, err = v.db.ExecStream(v.plan)
 			if err == nil && !batch {
 				it = engine.PerRow(it)
 			}

@@ -16,8 +16,8 @@ import (
 const chaosSizeCap = 50000
 
 // Chaos measures the steady-state cost of the per-query fault domain:
-// the resource governor (root row counting, operator-state and
-// ordered-exchange memory accounting, the deadline context) on the same
+// the resource governor (root row counting, the memory accounting of
+// materialized operator state, the deadline context) on the same
 // plans with governing off vs on, with limits generous enough that
 // nothing ever trips. Both runs consume the SAME physical plan through
 // the same executor, so the delta is exactly the governor's bookkeeping.
@@ -36,13 +36,12 @@ func Chaos(w io.Writer, sc Scale, rep *Report) error {
 			fmt.Fprintf(w, "chaos: skipping configured size %d (cap %d)\n", n, chaosSizeCap)
 			continue
 		}
-		_, sortedDB := sweepInputs(n)
-		for _, v := range batchVariants() {
-			off, _, rowsOff, err := runGovernedVariant(sortedDB, v, sc.Runs, engine.Limits{})
+		for _, v := range batchVariants(n) {
+			off, _, rowsOff, err := runGovernedVariant(v, sc.Runs, engine.Limits{})
 			if err != nil {
 				return fmt.Errorf("chaos %s (ungoverned): %w", v.name, err)
 			}
-			on, allocs, rowsOn, err := runGovernedVariant(sortedDB, v, sc.Runs, generous)
+			on, allocs, rowsOn, err := runGovernedVariant(v, sc.Runs, generous)
 			if err != nil {
 				return fmt.Errorf("chaos %s (governed): %w", v.name, err)
 			}
@@ -66,10 +65,10 @@ func Chaos(w io.Writer, sc Scale, rep *Report) error {
 // Limits value runs ungoverned on the nil-governor fast path) and
 // returns its median runtime, median allocations and output
 // cardinality. The governor is per query, so each run gets a fresh one.
-func runGovernedVariant(db *engine.DB, v batchVariant, runs int, lim engine.Limits) (d time.Duration, allocs float64, rows int, err error) {
+func runGovernedVariant(v batchVariant, runs int, lim engine.Limits) (d time.Duration, allocs float64, rows int, err error) {
 	d, allocs, err = MedianAllocs(runs, func() error {
 		rows = 0
-		it, err := parallel.Exec(context.Background(), db, v.plan, parallel.Options{
+		it, err := parallel.Exec(context.Background(), v.db, v.plan, parallel.Options{
 			Workers: max(v.par, 1),
 			Gov:     engine.NewGovernor(lim),
 		})

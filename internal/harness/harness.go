@@ -31,12 +31,7 @@ type Approach int
 // SeqMat — Seq executed on the operator-at-a-time materializing
 // executor instead of the streaming iterator engine (the pipelining
 // ablation); SeqPar — Seq on the parallel exchange executor with
-// DefaultWorkers fragments (hash-partitioned parallel sweeps);
-// SeqStream — Seq with the sweep operators forced to their streaming
-// form (sort-enforced where the input order is not already available),
-// the streaming-sweep ablation; and SeqParStream — forced streaming
-// sweeps ON the parallel executor: the order-preserving exchange keeps
-// every partition begin-sorted so the per-worker sweeps stream.
+// DefaultWorkers fragments (hash-partitioned parallel sweeps).
 const (
 	Seq Approach = iota
 	SeqNaive
@@ -44,8 +39,6 @@ const (
 	NatAlign
 	SeqMat
 	SeqPar
-	SeqStream
-	SeqParStream
 )
 
 // DefaultWorkers is the exchange worker count used by SeqPar: every
@@ -68,10 +61,6 @@ func (a Approach) String() string {
 		return "Seq-mat"
 	case SeqPar:
 		return "Seq-par"
-	case SeqStream:
-		return "Seq-stream"
-	case SeqParStream:
-		return "Seq-par-stream"
 	default:
 		return fmt.Sprintf("Approach(%d)", int(a))
 	}
@@ -91,10 +80,6 @@ func Run(db *engine.DB, q algebra.Query, ap Approach) (*engine.Table, error) {
 		return rewrite.Run(db, q, rewrite.Options{Mode: rewrite.ModeOptimized, Materialize: true})
 	case SeqPar:
 		return rewrite.Run(db, q, rewrite.Options{Mode: rewrite.ModeOptimized, Parallelism: DefaultWorkers})
-	case SeqStream:
-		return rewrite.Run(db, q, rewrite.Options{Mode: rewrite.ModeOptimized, Sweep: rewrite.SweepStreaming})
-	case SeqParStream:
-		return rewrite.Run(db, q, rewrite.Options{Mode: rewrite.ModeOptimized, Sweep: rewrite.SweepStreaming, Parallelism: DefaultWorkers})
 	case NatIP:
 		return baseline.Eval(db, q, baseline.IntervalPreservation)
 	case NatAlign:

@@ -25,8 +25,8 @@ type obsVariant struct {
 	par  int // exchange workers; 0 = sequential streaming engine
 }
 
-// Obs measures the cost of the EXPLAIN ANALYZE collector on the sweep
-// and diff workloads. The collector-off runs ARE the production path —
+// Obs measures the cost of the EXPLAIN ANALYZE collector on the
+// coalesce and diff workloads. The collector-off runs ARE the production path —
 // they exercise the nil-stats branches the instrumented executors ship
 // with — so comparing them against collector-on prices the per-row
 // counters, and the off-vs-on ratio is the number the acceptance
@@ -42,15 +42,13 @@ func Obs(w io.Writer, sc Scale, rep *Report) error {
 	if n == 0 {
 		n = 1000
 	}
-	sweepDB, sweepSorted := sweepInputs(n)
-	_, diffSorted := diffInputs(n)
-
+	sweepDB := coalesceDB(n)
 	variants := []obsVariant{
-		{name: fmt.Sprintf("coalesce-streaming/sorted/rows=%d", n), db: sweepSorted,
-			plan: engine.CoalesceP{In: engine.ScanP{Name: "sal"}, Streaming: true}},
-		{name: fmt.Sprintf("diff-streaming/sorted/rows=%d", n), db: diffSorted,
-			plan: engine.DiffP{L: engine.ScanP{Name: "l"}, R: engine.ScanP{Name: "r"}, Streaming: true}},
-		{name: fmt.Sprintf("coalesce-parallel-x%d/unsorted/rows=%d", DefaultWorkers, n), db: sweepDB,
+		{name: fmt.Sprintf("coalesce/rows=%d", n), db: sweepDB,
+			plan: engine.CoalesceP{In: engine.ScanP{Name: "sal"}}},
+		{name: fmt.Sprintf("diff/rows=%d", n), db: diffDB(n),
+			plan: engine.DiffP{L: engine.ScanP{Name: "l"}, R: engine.ScanP{Name: "r"}}},
+		{name: fmt.Sprintf("coalesce-parallel-x%d/rows=%d", DefaultWorkers, n), db: sweepDB,
 			plan: engine.CoalesceP{In: engine.ScanP{Name: "sal"}}, par: DefaultWorkers},
 	}
 

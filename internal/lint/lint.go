@@ -1,8 +1,8 @@
 // Package lint implements snaplint, the repo-specific static-analysis
 // suite that mechanically enforces the streaming engine's iterator
 // conventions — invariants the compiler cannot see but whose violation
-// has caused real bugs (row aliasing, goroutine leaks, ordered-exchange
-// deadlocks; see the "Invariants & linting" section of the README).
+// has caused real bugs (row aliasing, goroutine leaks, unchecked stream
+// errors; see the "Invariants & linting" section of the README).
 //
 // Each check is an independent Analyzer over one type-checked package,
 // mirroring the x/tools/go/analysis shape (Name/Doc/Run over a Pass) so
@@ -37,7 +37,7 @@ type Analyzer struct {
 
 // Analyzers returns the full snaplint suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{IterClose, ErrPropagate, RowRetain, CtxSelect, OrderedChan, KeyAlloc}
+	return []*Analyzer{IterClose, ErrPropagate, RowRetain, CtxSelect, KeyAlloc}
 }
 
 // Pass carries one analyzer's view of one package and collects its

@@ -29,7 +29,6 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{ErrPropagate, "errpropagate", "fixture/errpropagate"},
 		{RowRetain, "rowretain", "fixture/rowretain"},
 		{CtxSelect, "ctxselect", "fixture/internal/engine/parallel"},
-		{OrderedChan, "orderedchan", "fixture/orderedchan"},
 		{KeyAlloc, "keyalloc", "fixture/internal/engine"},
 	}
 	ld := NewLoader()

@@ -95,10 +95,9 @@ func (g *Gen) genValue() tuple.Value {
 
 // SortedByBegin returns a copy of the spec whose facts are ordered by
 // ascending interval begin within each table. Loading the copy into the
-// engine yields begin-sorted stored tables, which is what triggers the
-// planner's automatic streaming-sweep selection — the deliberately
-// pre-sorted half of the equivalence suite (the original spec is the
-// unsorted half).
+// engine yields begin-sorted stored tables with begin-sorted table
+// metadata — the deliberately pre-sorted half of the equivalence suite
+// (the original spec is the unsorted half).
 func (spec DBSpec) SortedByBegin() DBSpec {
 	out := DBSpec{Dom: spec.Dom}
 	for _, t := range spec.Tables {
@@ -170,9 +169,9 @@ func (g *Gen) GenQuery() algebra.Query {
 }
 
 // GenDiffQuery generates a random query with a difference at the root —
-// the dedicated generator of the streaming-difference equivalence grid,
-// which must exercise the DiffP physical forms on every iteration
-// (GenQuery only reaches a difference by chance).
+// the dedicated generator of the difference equivalence grid, which
+// must exercise the difference sweep on every iteration (GenQuery only
+// reaches a difference by chance).
 func (g *Gen) GenDiffQuery() algebra.Query {
 	return algebra.Diff{
 		L: g.genPositive(g.MaxDepth-1, true),

@@ -47,8 +47,7 @@ func checkStatsSane(t *testing.T, st *engine.OpStats, q algebra.Query) {
 }
 
 // TestAnalyzeRowCountsMatchCursor pins the EXPLAIN ANALYZE acceptance
-// criterion over the qgen grid (executor × sweep × parallelism ×
-// sortedness): the root operator's measured row count must equal the
+// criterion over the qgen grid (parallelism × sortedness): the root operator's measured row count must equal the
 // number of rows the cursor actually pulled, exactly, for every
 // configuration — the stats tree observes the same stream the client
 // does.
@@ -56,9 +55,7 @@ func TestAnalyzeRowCountsMatchCursor(t *testing.T) {
 	g := qgen.New(733)
 	var opts []rewrite.Options
 	for _, par := range []int{0, 2, 4} {
-		for _, sw := range []rewrite.SweepMode{rewrite.SweepAuto, rewrite.SweepStreaming, rewrite.SweepBlocking} {
-			opts = append(opts, rewrite.Options{Mode: rewrite.ModeOptimized, Sweep: sw, Parallelism: par})
-		}
+		opts = append(opts, rewrite.Options{Mode: rewrite.ModeOptimized, Parallelism: par})
 	}
 	for i := 0; i < 25; i++ {
 		spec := g.GenDB()
@@ -132,8 +129,7 @@ func waitForGoroutines(t *testing.T, base int) {
 
 // Attaching a collector must not change pipeline teardown: closing an
 // analyzed parallel query right after the first row (the early
-// Rows.Close path) must reap every fragment and exchange goroutine, for
-// both the hash-partitioned and the order-preserving exchanges.
+// Rows.Close path) must reap every fragment and exchange goroutine.
 func TestAnalyzeEarlyCloseReapsFragments(t *testing.T) {
 	db := analyzeLeakDB()
 	q := algebra.Agg{
@@ -142,23 +138,21 @@ func TestAnalyzeEarlyCloseReapsFragments(t *testing.T) {
 		In:      algebra.Rel{Name: "big"},
 	}
 	base := runtime.NumGoroutine()
-	for _, sw := range []rewrite.SweepMode{rewrite.SweepAuto, rewrite.SweepStreaming, rewrite.SweepBlocking} {
-		col := engine.NewCollector()
-		it, err := rewrite.Stream(context.Background(), db, q,
-			rewrite.Options{Mode: rewrite.ModeOptimized, Sweep: sw, Parallelism: 4, Collect: col})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := it.Next(); !ok {
-			t.Fatal("empty pipeline")
-		}
-		it.Close()
-		it.Close() // idempotent
-		if col.RootOp() == nil || col.RootOp().Rows() != 1 {
-			t.Fatalf("sweep %v: analyzed row count after early close = %v, want 1", sw, col.RootOp().Rows())
-		}
-		waitForGoroutines(t, base)
+	col := engine.NewCollector()
+	it, err := rewrite.Stream(context.Background(), db, q,
+		rewrite.Options{Mode: rewrite.ModeOptimized, Parallelism: 4, Collect: col})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if _, ok := it.Next(); !ok {
+		t.Fatal("empty pipeline")
+	}
+	it.Close()
+	it.Close() // idempotent
+	if col.RootOp() == nil || col.RootOp().Rows() != 1 {
+		t.Fatalf("analyzed row count after early close = %v, want 1", col.RootOp().Rows())
+	}
+	waitForGoroutines(t, base)
 }
 
 // TestRegistryCountsExecution pins when the process-wide registry
@@ -171,17 +165,15 @@ func TestRegistryCountsExecution(t *testing.T) {
 	delta := func(before obs.Snapshot) obs.Snapshot {
 		after := obs.Default.Snapshot()
 		return obs.Snapshot{
-			QueriesRun:     after.QueriesRun - before.QueriesRun,
-			RowsEmitted:    after.RowsEmitted - before.RowsEmitted,
-			SweepStreaming: after.SweepStreaming - before.SweepStreaming,
-			SweepEnforced:  after.SweepEnforced - before.SweepEnforced,
-			SweepBlocking:  after.SweepBlocking - before.SweepBlocking,
+			QueriesRun:  after.QueriesRun - before.QueriesRun,
+			RowsEmitted: after.RowsEmitted - before.RowsEmitted,
+			Sweeps:      after.Sweeps - before.Sweeps,
 		}
 	}
-	blocking := rewrite.Options{Mode: rewrite.ModeOptimized, Sweep: rewrite.SweepBlocking}
+	optimized := rewrite.Options{Mode: rewrite.ModeOptimized}
 
 	before := obs.Default.Snapshot()
-	for _, opt := range []rewrite.Options{blocking, {Sweep: rewrite.SweepStreaming}, {Mode: rewrite.ModeNaive}} {
+	for _, opt := range []rewrite.Options{optimized, {Parallelism: 2}, {Mode: rewrite.ModeNaive}} {
 		if _, _, err := rewrite.PlanQuery(qOnduty(), db, opt); err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +185,7 @@ func TestRegistryCountsExecution(t *testing.T) {
 	// Qonduty plans one pre-aggregated split; it emits the unique
 	// encoding, so no final coalesce runs above it.
 	before = obs.Default.Snapshot()
-	it, err := rewrite.Stream(context.Background(), db, qOnduty(), blocking)
+	it, err := rewrite.Stream(context.Background(), db, qOnduty(), optimized)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,23 +197,23 @@ func TestRegistryCountsExecution(t *testing.T) {
 		t.Fatal(err)
 	}
 	it.Close()
-	if d, want := delta(before), (obs.Snapshot{QueriesRun: 1, RowsEmitted: n, SweepBlocking: 1}); n == 0 || d != want {
+	if d, want := delta(before), (obs.Snapshot{QueriesRun: 1, RowsEmitted: n, Sweeps: 1}); n == 0 || d != want {
 		t.Fatalf("drained stream of %d rows: registry delta %s, want %s", n, d, want)
 	}
 
 	// A join keeps its final coalesce, which counts as the one sweep.
 	join := algebra.Join{L: algebra.Rel{Name: "works"}, R: algebra.Rel{Name: "assign"}, Pred: algebra.Eq(algebra.Col("skill"), algebra.Col("r.skill"))}
 	before = obs.Default.Snapshot()
-	tbl, err := rewrite.Run(db, join, blocking)
+	tbl, err := rewrite.Run(db, join, optimized)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d, want := delta(before), (obs.Snapshot{QueriesRun: 1, RowsEmitted: int64(tbl.Len()), SweepBlocking: 1}); tbl.Len() == 0 || d != want {
+	if d, want := delta(before), (obs.Snapshot{QueriesRun: 1, RowsEmitted: int64(tbl.Len()), Sweeps: 1}); tbl.Len() == 0 || d != want {
 		t.Fatalf("join: registry delta %s, want %s", d, want)
 	}
 
 	before = obs.Default.Snapshot()
-	it, err = rewrite.Stream(context.Background(), db, qSkillreq(), rewrite.Options{Sweep: rewrite.SweepStreaming})
+	it, err = rewrite.Stream(context.Background(), db, qSkillreq(), rewrite.Options{Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,16 +222,16 @@ func TestRegistryCountsExecution(t *testing.T) {
 	}
 	it.Close()
 	d := delta(before)
-	if d.QueriesRun != 1 || d.RowsEmitted != 1 || d.SweepStreaming+d.SweepEnforced != 1 || d.SweepBlocking != 0 {
-		t.Fatalf("stream closed after one row: registry delta %s, want one query, one row, one streaming sweep (the difference)", d)
+	if want := (obs.Snapshot{QueriesRun: 1, RowsEmitted: 1, Sweeps: 1}); d != want {
+		t.Fatalf("stream closed after one row: registry delta %s, want %s (one sweep: the difference)", d, want)
 	}
 
 	before = obs.Default.Snapshot()
-	tbl, err = rewrite.Run(db, qOnduty(), rewrite.Options{Mode: rewrite.ModeOptimized, Sweep: rewrite.SweepBlocking, Materialize: true})
+	tbl, err = rewrite.Run(db, qOnduty(), rewrite.Options{Mode: rewrite.ModeOptimized, Materialize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d, want := delta(before), (obs.Snapshot{QueriesRun: 1, RowsEmitted: int64(tbl.Len()), SweepBlocking: 1}); d != want {
+	if d, want := delta(before), (obs.Snapshot{QueriesRun: 1, RowsEmitted: int64(tbl.Len()), Sweeps: 1}); d != want {
 		t.Fatalf("materialized run: registry delta %s, want %s", d, want)
 	}
 }

@@ -80,9 +80,7 @@ func TestBatchPerRowDifferential(t *testing.T) {
 	g := qgen.New(911)
 	var opts []rewrite.Options
 	for _, par := range []int{0, 2, 4} {
-		for _, sw := range []rewrite.SweepMode{rewrite.SweepAuto, rewrite.SweepStreaming, rewrite.SweepBlocking} {
-			opts = append(opts, rewrite.Options{Mode: rewrite.ModeOptimized, Sweep: sw, Parallelism: par})
-		}
+		opts = append(opts, rewrite.Options{Mode: rewrite.ModeOptimized, Parallelism: par})
 	}
 	for i := 0; i < 15; i++ {
 		spec := g.GenDB()

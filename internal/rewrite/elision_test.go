@@ -16,7 +16,7 @@ import (
 // TestPlannerCoalesceElisionGrid is the differential grid of the final
 // coalesce elision. qgen's elision queries put an aggregation or a
 // difference under injective and non-injective projections and data-only
-// selections, with and without a window. Under every sweep mode at
+// selections, with and without a window. At
 // parallelism 1 and 2, over unsorted and begin-sorted tables:
 //
 //   - the plan has no coalesce exactly when engine.Coalesced says its
@@ -53,37 +53,35 @@ func TestPlannerCoalesceElisionGrid(t *testing.T) {
 				s = spec.SortedByBegin()
 			}
 			edb := s.ToEngineDB()
-			for _, sweep := range []rewrite.SweepMode{rewrite.SweepAuto, rewrite.SweepStreaming, rewrite.SweepBlocking} {
-				for _, par := range []int{1, 2} {
-					for _, T := range windows {
-						opt := rewrite.Options{Mode: rewrite.ModeOptimized, Sweep: sweep, Parallelism: par, Window: T}
-						p, _, err := rewrite.PlanQuery(q, edb, opt)
-						if err != nil {
-							t.Fatalf("plan: %v (%s)", err, q)
-						}
-						n := engine.CountCoalesce(p)
-						if n > 1 || engine.Coalesced(p) != (n == 0) {
-							t.Fatalf("opt %+v: plan has %d coalesce operators but Coalesced = %v:\n%s", opt, n, engine.Coalesced(p), p)
-						}
-						if n == 0 {
-							elided++
-						} else {
-							kept++
-						}
-						got, err := rewrite.Run(edb, q, opt)
-						if err != nil {
-							t.Fatalf("opt %+v: %v (%s)", opt, err, q)
-						}
-						if !engine.IsCoalesced(got, engine.CoalesceNative) {
-							t.Fatalf("opt %+v: result is not the unique encoding\nquery: %s\nplan:  %s\ngot:\n%s", opt, q, p, got)
-						}
-						want := wantRel
-						if T.Valid() {
-							want = engine.ClipWindow(engine.FromPeriodRelation(wantRel), T).ToPeriodRelation(pdb.Algebra())
-						}
-						if gotRel := got.ToPeriodRelation(pdb.Algebra()); !gotRel.Equal(want) {
-							t.Fatalf("opt %+v: result differs from the oracle\nquery: %s\nplan:  %s\ngot:  %v\nwant: %v", opt, q, p, gotRel, want)
-						}
+			for _, par := range []int{1, 2} {
+				for _, T := range windows {
+					opt := rewrite.Options{Mode: rewrite.ModeOptimized, Parallelism: par, Window: T}
+					p, _, err := rewrite.PlanQuery(q, edb, opt)
+					if err != nil {
+						t.Fatalf("plan: %v (%s)", err, q)
+					}
+					n := engine.CountCoalesce(p)
+					if n > 1 || engine.Coalesced(p) != (n == 0) {
+						t.Fatalf("opt %+v: plan has %d coalesce operators but Coalesced = %v:\n%s", opt, n, engine.Coalesced(p), p)
+					}
+					if n == 0 {
+						elided++
+					} else {
+						kept++
+					}
+					got, err := rewrite.Run(edb, q, opt)
+					if err != nil {
+						t.Fatalf("opt %+v: %v (%s)", opt, err, q)
+					}
+					if !engine.IsCoalesced(got, engine.CoalesceNative) {
+						t.Fatalf("opt %+v: result is not the unique encoding\nquery: %s\nplan:  %s\ngot:\n%s", opt, q, p, got)
+					}
+					want := wantRel
+					if T.Valid() {
+						want = engine.ClipWindow(engine.FromPeriodRelation(wantRel), T).ToPeriodRelation(pdb.Algebra())
+					}
+					if gotRel := got.ToPeriodRelation(pdb.Algebra()); !gotRel.Equal(want) {
+						t.Fatalf("opt %+v: result differs from the oracle\nquery: %s\nplan:  %s\ngot:  %v\nwant: %v", opt, q, p, gotRel, want)
 					}
 				}
 			}

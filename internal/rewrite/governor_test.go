@@ -76,25 +76,32 @@ func TestRowLimitBatchDrive(t *testing.T) {
 	}
 }
 
-// A one-byte memory budget must trip on the streaming sweep's tracked
-// state (the max_state accounting) with ErrMemBudget — at build time or
-// mid-stream, but never as a clean complete result.
-func TestMemBudgetTripsStreamingSweep(t *testing.T) {
+// A one-byte memory budget must trip on the rows a sweep materializes
+// (the state EXPLAIN ANALYZE reports as max_state) with ErrMemBudget —
+// at build time or mid-stream, but never as a clean complete result —
+// for the aggregation, the difference and the final coalesce of a
+// projection, on both executors under default options.
+func TestMemBudgetTripsSweep(t *testing.T) {
 	db := analyzeLeakDB()
-	q := algebra.Agg{
-		GroupBy: []string{"g"},
-		Aggs:    []algebra.AggSpec{{Fn: krel.CountStar, As: "cnt"}},
-		In:      algebra.Rel{Name: "big"},
+	big := algebra.Rel{Name: "big"}
+	queries := map[string]algebra.Query{
+		"agg": algebra.Agg{
+			GroupBy: []string{"g"},
+			Aggs:    []algebra.AggSpec{{Fn: krel.CountStar, As: "cnt"}},
+			In:      big,
+		},
+		"diff":     algebra.Diff{L: big, R: big},
+		"coalesce": algebra.Project{Exprs: []algebra.NamedExpr{{Name: "g", E: algebra.Col("g")}}, In: big},
 	}
-	for _, par := range []int{0, 4} {
-		_, err := drainGoverned(t, db, q, rewrite.Options{
-			Mode:        rewrite.ModeOptimized,
-			Sweep:       rewrite.SweepStreaming,
-			Parallelism: par,
-			Limits:      engine.Limits{MemBudget: 1},
-		})
-		if !errors.Is(err, engine.ErrMemBudget) {
-			t.Fatalf("par=%d: err = %v, want ErrMemBudget", par, err)
+	for name, q := range queries {
+		for _, par := range []int{0, 2} {
+			n, err := drainGoverned(t, db, q, rewrite.Options{
+				Parallelism: par,
+				Limits:      engine.Limits{MemBudget: 1},
+			})
+			if !errors.Is(err, engine.ErrMemBudget) {
+				t.Fatalf("%s par=%d: err = %v after %d rows, want ErrMemBudget", name, par, err, n)
+			}
 		}
 	}
 }

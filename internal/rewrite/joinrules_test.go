@@ -17,7 +17,7 @@ import (
 var joinRulesOpts = []rewrite.Options{
 	{Mode: rewrite.ModeOptimized},
 	{Mode: rewrite.ModeOptimized, Parallelism: 2},
-	{Mode: rewrite.ModeOptimized, Sweep: rewrite.SweepStreaming, Materialize: true},
+	{Mode: rewrite.ModeOptimized, Materialize: true},
 	{Mode: rewrite.ModeNaive},
 }
 

@@ -40,8 +40,6 @@ func TestWindowGridEquivalence(t *testing.T) {
 		}
 	}
 	opts = append(opts,
-		rewrite.Options{Mode: rewrite.ModeOptimized, Sweep: rewrite.SweepStreaming, Planner: rewrite.AllKnobs()},
-		rewrite.Options{Mode: rewrite.ModeOptimized, Sweep: rewrite.SweepBlocking, Planner: rewrite.AllKnobs()},
 		rewrite.Options{Mode: rewrite.ModeOptimized, Materialize: true, Planner: rewrite.AllKnobs()},
 		rewrite.Options{Mode: rewrite.ModeOptimized, Planner: rewrite.PlannerKnobs{Pushdown: true}},
 		rewrite.Options{Mode: rewrite.ModeOptimized, Planner: rewrite.PlannerKnobs{Prune: true}, Parallelism: 2},
@@ -97,8 +95,6 @@ func countWindows(p engine.Plan) int {
 	case engine.FilterP:
 		return countWindows(n.In)
 	case engine.ProjectP:
-		return countWindows(n.In)
-	case engine.SortP:
 		return countWindows(n.In)
 	case engine.CoalesceP:
 		return countWindows(n.In)

@@ -39,35 +39,11 @@ const (
 	ModeNaive
 )
 
-// SweepMode selects the physical form of the sweep operators (coalesce
-// and the pre-aggregated split).
-type SweepMode int
-
-const (
-	// SweepAuto (the default) picks the streaming sweep whenever the
-	// input's interval-endpoint order is already guaranteed — a
-	// begin-sorted stored table under order-preserving operators — and
-	// otherwise keeps the materializing sweep, which sorts internally
-	// anyway.
-	SweepAuto SweepMode = iota
-	// SweepStreaming always uses the streaming sweeps, inserting an
-	// explicit endpoint sort enforcer (engine.SortP) when the input
-	// order is not guaranteed.
-	SweepStreaming
-	// SweepBlocking always uses the materializing sweeps — the ablation
-	// baseline of the streaming-sweep study.
-	SweepBlocking
-)
-
 // Options configures the rewriting.
 type Options struct {
 	Mode Mode
 	// CoalesceImpl selects the physical coalescing implementation.
 	CoalesceImpl engine.CoalesceImpl
-	// Sweep selects streaming vs materializing sweep operators; see
-	// SweepMode. Streaming aggregation only applies to the
-	// pre-aggregated split of ModeOptimized.
-	Sweep SweepMode
 	// SkipFinalCoalesce omits the outermost coalesce; the result is then
 	// snapshot-equivalent but, unless the plan emits it anyway (an
 	// aggregation or difference root, see engine.Coalesced, which never
@@ -141,85 +117,22 @@ func Rewrite(q algebra.Query, cat algebra.Catalog, opt Options) (engine.Plan, er
 	return p, err
 }
 
-// rewriter carries the per-Rewrite state: the options and memoized
-// per-table begin-sortedness — the order probe scans stored rows, and
-// naive mode asks once per rewritten operator, so one Rewrite call must
-// not rescan a table per sweep node.
+// rewriter carries the per-Rewrite state: the options and, when the
+// catalog is an engine database, the database the physical pass reads
+// statistics from.
 type rewriter struct {
 	opt Options
 	db  *engine.DB // nil when the catalog is not an engine database
-	ord map[string]bool
 }
 
 func newRewriter(cat algebra.Catalog, opt Options) *rewriter {
 	db, _ := cat.(*engine.DB)
-	return &rewriter{opt: opt, db: db, ord: make(map[string]bool)}
+	return &rewriter{opt: opt, db: db}
 }
 
-// beginOrdered reports whether the plan's output order is guaranteed to
-// be begin-sorted. Order information needs stored-table access, so only
-// engine databases (the usual catalog) can report it.
-func (rw *rewriter) beginOrdered(p engine.Plan) bool {
-	if rw.db == nil {
-		return false
-	}
-	return engine.BeginOrderedWith(p, func(name string) bool {
-		s, ok := rw.ord[name]
-		if !ok {
-			s = rw.db.ScanBeginSorted(name)
-			rw.ord[name] = s
-		}
-		return s
-	})
-}
-
-// sweepInput decides the physical form of a sweep operator over input p
-// under opt.Sweep: it reports whether the sweep streams, and wraps p in
-// the endpoint sort enforcer when streaming is forced without a
-// guaranteed input order. The decision is independent of
-// opt.Parallelism: the parallel executor's order-preserving exchanges
-// (ordered repartition + ordered merge) carry the begin order into
-// every partition, so streaming sweeps and parallelism compose — each
-// worker runs the streaming sweep over its begin-sorted partition.
-func (rw *rewriter) sweepInput(p engine.Plan) (engine.Plan, bool) {
-	switch rw.opt.Sweep {
-	case SweepBlocking:
-		return p, false
-	case SweepStreaming:
-		if !rw.beginOrdered(p) {
-			p = engine.SortP{In: p}
-		}
-		return p, true
-	default: // SweepAuto: stream exactly when the order comes for free
-		return p, rw.beginOrdered(p)
-	}
-}
-
-// sweepInput2 is the two-input form of sweepInput, for the streaming
-// merge-based difference: it reports whether the sweep streams and
-// wraps EACH child in the endpoint sort enforcer when streaming is
-// forced without a guaranteed order. Under SweepAuto the difference
-// streams only when both children already carry the order — a single
-// sorted side would make the merge sweep pay an enforcer sort the
-// blocking sweep avoids.
-func (rw *rewriter) sweepInput2(l, r engine.Plan) (engine.Plan, engine.Plan, bool) {
-	switch rw.opt.Sweep {
-	case SweepBlocking:
-		return l, r, false
-	case SweepStreaming:
-		l, _ = rw.sweepInput(l)
-		r, _ = rw.sweepInput(r)
-		return l, r, true
-	default: // SweepAuto: stream exactly when the order comes for free
-		return l, r, rw.beginOrdered(l) && rw.beginOrdered(r)
-	}
-}
-
-// coalesceOp wraps p in a coalesce operator in the physical form chosen
-// by opt.Sweep.
+// coalesceOp wraps p in a coalesce operator.
 func (rw *rewriter) coalesceOp(p engine.Plan) engine.Plan {
-	in, stream := rw.sweepInput(p)
-	return engine.CoalesceP{Impl: rw.opt.CoalesceImpl, In: in, Streaming: stream}
+	return engine.CoalesceP{Impl: rw.opt.CoalesceImpl, In: p}
 }
 
 // maybeCoalesce wraps p in a coalesce operator in naive mode, mirroring
@@ -278,26 +191,17 @@ func (rw *rewriter) rewr(q algebra.Query) (engine.Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		l, r, stream := rw.sweepInput2(l, r)
-		return rw.maybeCoalesce(engine.DiffP{L: l, R: r, Streaming: stream}), nil
+		return rw.maybeCoalesce(engine.DiffP{L: l, R: r}), nil
 	case algebra.Agg:
 		in, err := rw.rewr(n.In)
 		if err != nil {
 			return nil, err
 		}
-		preAgg := rw.opt.Mode == ModeOptimized
-		stream := false
-		if preAgg {
-			// Only the pre-aggregated split has a streaming form; the
-			// naive materialized split is blocking by construction.
-			in, stream = rw.sweepInput(in)
-		}
 		p := engine.AggP{
-			GroupBy:   n.GroupBy,
-			Aggs:      n.Aggs,
-			PreAgg:    preAgg,
-			Streaming: stream,
-			In:        in,
+			GroupBy: n.GroupBy,
+			Aggs:    n.Aggs,
+			PreAgg:  rw.opt.Mode == ModeOptimized,
+			In:      in,
 		}
 		return rw.maybeCoalesce(p), nil
 	default:
@@ -380,44 +284,40 @@ func Stream(ctx context.Context, db *engine.DB, q algebra.Query, opt Options) (e
 }
 
 // countExecuted records a plan that is about to run in the process-wide
-// registry: one query, and the physical form of each of its sweep
-// operators. Counting here rather than while planning keeps EXPLAIN,
-// which plans without running, out of the counters.
+// registry: one query, and each of its sweep operators. Counting here
+// rather than while planning keeps EXPLAIN, which plans without
+// running, out of the counters.
 func countExecuted(p engine.Plan) {
 	obs.Default.QueriesRun.Add(1)
-	countSweeps(p)
+	obs.Default.Sweeps.Add(countSweeps(p))
 }
 
-func countSweeps(p engine.Plan) {
-	enforced := func(in engine.Plan) bool { _, ok := in.(engine.SortP); return ok }
+// countSweeps returns the number of sweep operators in p: coalesces,
+// differences and pre-aggregated splits (the naive split is a
+// materialized split followed by hash aggregation, not a sweep).
+func countSweeps(p engine.Plan) int64 {
 	switch n := p.(type) {
 	case engine.FilterP:
-		countSweeps(n.In)
+		return countSweeps(n.In)
 	case engine.ProjectP:
-		countSweeps(n.In)
+		return countSweeps(n.In)
 	case engine.JoinP:
-		countSweeps(n.L)
-		countSweeps(n.R)
+		return countSweeps(n.L) + countSweeps(n.R)
 	case engine.UnionP:
-		countSweeps(n.L)
-		countSweeps(n.R)
+		return countSweeps(n.L) + countSweeps(n.R)
 	case engine.DiffP:
-		obs.Default.CountSweep(n.Streaming, enforced(n.L) || enforced(n.R))
-		countSweeps(n.L)
-		countSweeps(n.R)
+		return 1 + countSweeps(n.L) + countSweeps(n.R)
 	case engine.AggP:
-		// Only the pre-aggregated split is a sweep with a physical choice.
 		if n.PreAgg {
-			obs.Default.CountSweep(n.Streaming, enforced(n.In))
+			return 1 + countSweeps(n.In)
 		}
-		countSweeps(n.In)
+		return countSweeps(n.In)
 	case engine.CoalesceP:
-		obs.Default.CountSweep(n.Streaming, enforced(n.In))
-		countSweeps(n.In)
-	case engine.SortP:
-		countSweeps(n.In)
+		return 1 + countSweeps(n.In)
 	case engine.WindowP:
-		countSweeps(n.In)
+		return countSweeps(n.In)
+	default:
+		return 0
 	}
 }
 

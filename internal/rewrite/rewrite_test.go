@@ -101,28 +101,22 @@ func TestFigure1cSkillreqRewritten(t *testing.T) {
 func TestTheorem81CommutingDiagram(t *testing.T) {
 	g := qgen.New(131)
 	// The full physical grid: every executor (sequential streaming,
-	// parallel ×2/×4, operator-at-a-time materializing) × every sweep
-	// mode (auto, forced streaming behind the sort enforcer or the
-	// order-preserving exchange, blocking ablation) must close the same
-	// diagram — Sweep and Parallelism compose freely. The loop below
-	// additionally runs each (database, query) pair over unsorted AND
-	// begin-sorted stored tables, and each sweep × parallelism cell with
-	// the cost-aware planner knobs off AND all on, so the grid is
-	// executor × sweep × parallelism × sortedness × planner.
+	// parallel ×2/×4, operator-at-a-time materializing) must close the
+	// same diagram. The loop below additionally runs each (database,
+	// query) pair over unsorted AND begin-sorted stored tables, and each
+	// parallelism cell with the cost-aware planner knobs off AND all on,
+	// so the grid is executor × parallelism × sortedness × planner.
 	var opts []rewrite.Options
 	for _, par := range []int{0, 2, 4} {
-		for _, sw := range []rewrite.SweepMode{rewrite.SweepAuto, rewrite.SweepStreaming, rewrite.SweepBlocking} {
-			for _, knobs := range []rewrite.PlannerKnobs{{}, rewrite.AllKnobs()} {
-				opts = append(opts, rewrite.Options{Mode: rewrite.ModeOptimized, Sweep: sw, Parallelism: par, Planner: knobs})
-			}
+		for _, knobs := range []rewrite.PlannerKnobs{{}, rewrite.AllKnobs()} {
+			opts = append(opts, rewrite.Options{Mode: rewrite.ModeOptimized, Parallelism: par, Planner: knobs})
 		}
 	}
 	opts = append(opts,
 		rewrite.Options{Mode: rewrite.ModeOptimized, CoalesceImpl: engine.CoalesceAnalytic},
 		rewrite.Options{Mode: rewrite.ModeOptimized, Materialize: true},
 		rewrite.Options{Mode: rewrite.ModeNaive, CoalesceImpl: engine.CoalesceNative},
-		rewrite.Options{Mode: rewrite.ModeNaive, Sweep: rewrite.SweepStreaming},
-		rewrite.Options{Mode: rewrite.ModeNaive, Sweep: rewrite.SweepStreaming, Parallelism: 4},
+		rewrite.Options{Mode: rewrite.ModeNaive, Parallelism: 4},
 	)
 	for i := 0; i < 100; i++ {
 		spec := g.GenDB()
@@ -155,25 +149,21 @@ func TestTheorem81CommutingDiagram(t *testing.T) {
 
 // TestDiffGridEquivalence is the difference-focused half of the
 // equivalence grid: every generated query has a difference at the root,
-// so each iteration exercises the DiffP physical forms — blocking,
-// streaming behind sort enforcers, auto-streaming over begin-sorted
-// stored tables, and the parallel pairwise-partitioned variants — over
-// executor × sweep × parallelism × sortedness, against the logical
-// model.
+// so each iteration exercises the sequential and the parallel
+// pairwise-partitioned difference sweep over executor × parallelism ×
+// sortedness, against the logical model.
 func TestDiffGridEquivalence(t *testing.T) {
 	g := qgen.New(421)
 	var opts []rewrite.Options
 	for _, par := range []int{0, 2, 4} {
-		for _, sw := range []rewrite.SweepMode{rewrite.SweepAuto, rewrite.SweepStreaming, rewrite.SweepBlocking} {
-			for _, knobs := range []rewrite.PlannerKnobs{{}, rewrite.AllKnobs()} {
-				opts = append(opts, rewrite.Options{Mode: rewrite.ModeOptimized, Sweep: sw, Parallelism: par, Planner: knobs})
-			}
+		for _, knobs := range []rewrite.PlannerKnobs{{}, rewrite.AllKnobs()} {
+			opts = append(opts, rewrite.Options{Mode: rewrite.ModeOptimized, Parallelism: par, Planner: knobs})
 		}
 	}
 	opts = append(opts,
 		rewrite.Options{Mode: rewrite.ModeOptimized, Materialize: true},
-		rewrite.Options{Mode: rewrite.ModeNaive, Sweep: rewrite.SweepStreaming},
-		rewrite.Options{Mode: rewrite.ModeNaive, Sweep: rewrite.SweepStreaming, Parallelism: 4},
+		rewrite.Options{Mode: rewrite.ModeNaive},
+		rewrite.Options{Mode: rewrite.ModeNaive, Parallelism: 4},
 	)
 	for i := 0; i < 60; i++ {
 		spec := g.GenDB()
@@ -204,10 +194,9 @@ func TestDiffGridEquivalence(t *testing.T) {
 	}
 }
 
-// TestDiffSweepPlanning pins the planner's physical choice for the
-// difference: SweepStreaming forces the streaming merge sweep with a
-// sort enforcer on each unordered child; SweepAuto streams exactly when
-// BOTH children carry the order for free; SweepBlocking never streams.
+// TestDiffSweepPlanning pins the planner's physical form of the
+// difference: a DiffP directly over its children, with no sort
+// enforcer, whatever the stored order of either side.
 func TestDiffSweepPlanning(t *testing.T) {
 	db := engine.NewDB(dom)
 	sortedT := db.CreateTable("st", tuple.NewSchema("a"))
@@ -219,54 +208,16 @@ func TestDiffSweepPlanning(t *testing.T) {
 	if !db.ScanBeginSorted("st") || db.ScanBeginSorted("ut") {
 		t.Fatal("fixture sortedness is wrong")
 	}
-	q := func(l, r string) algebra.Query {
-		return algebra.Diff{L: algebra.Rel{Name: l}, R: algebra.Rel{Name: r}}
-	}
-	diffOf := func(sw rewrite.SweepMode, l, r string) engine.DiffP {
-		t.Helper()
-		p, err := rewrite.Rewrite(q(l, r), db, rewrite.Options{Mode: rewrite.ModeOptimized, Sweep: sw, SkipFinalCoalesce: true})
+	for _, pair := range [][2]string{{"st", "st"}, {"st", "ut"}, {"ut", "st"}, {"ut", "ut"}} {
+		q := algebra.Diff{L: algebra.Rel{Name: pair[0]}, R: algebra.Rel{Name: pair[1]}}
+		p, err := rewrite.Rewrite(q, db, rewrite.Options{Mode: rewrite.ModeOptimized})
 		if err != nil {
 			t.Fatal(err)
 		}
-		dp, ok := p.(engine.DiffP)
-		if !ok {
-			t.Fatalf("plan root is %T, want DiffP: %s", p, p)
+		want := engine.DiffP{L: engine.ScanP{Name: pair[0]}, R: engine.ScanP{Name: pair[1]}}
+		if p != engine.Plan(want) {
+			t.Fatalf("children %v: plan %s, want %s", pair, p, want)
 		}
-		return dp
-	}
-
-	// Forced streaming over unsorted children: enforcers on BOTH inputs.
-	dp := diffOf(rewrite.SweepStreaming, "ut", "ut")
-	if !dp.Streaming {
-		t.Fatalf("SweepStreaming must set DiffP.Streaming: %s", dp)
-	}
-	if _, ok := dp.L.(engine.SortP); !ok {
-		t.Fatalf("left child of forced streaming diff lacks the sort enforcer: %s", dp)
-	}
-	if _, ok := dp.R.(engine.SortP); !ok {
-		t.Fatalf("right child of forced streaming diff lacks the sort enforcer: %s", dp)
-	}
-	// Forced streaming over sorted children: no enforcer needed.
-	dp = diffOf(rewrite.SweepStreaming, "st", "st")
-	if !dp.Streaming {
-		t.Fatalf("SweepStreaming must set DiffP.Streaming: %s", dp)
-	}
-	if _, ok := dp.L.(engine.ScanP); !ok {
-		t.Fatalf("sorted child must not be wrapped in an enforcer: %s", dp)
-	}
-	// Auto: streams only when both children are ordered.
-	if dp = diffOf(rewrite.SweepAuto, "st", "st"); !dp.Streaming {
-		t.Fatalf("SweepAuto over two sorted scans must stream: %s", dp)
-	}
-	for _, pair := range [][2]string{{"st", "ut"}, {"ut", "st"}, {"ut", "ut"}} {
-		if dp = diffOf(rewrite.SweepAuto, pair[0], pair[1]); dp.Streaming {
-			t.Fatalf("SweepAuto with unsorted child %v must not stream: %s", pair, dp)
-		}
-	}
-	// Blocking ablation: never streams, never sorts.
-	dp = diffOf(rewrite.SweepBlocking, "st", "st")
-	if dp.Streaming {
-		t.Fatalf("SweepBlocking must not stream: %s", dp)
 	}
 }
 
@@ -524,8 +475,6 @@ func filtersBelowJoins(p engine.Plan, below bool) int {
 	case engine.CoalesceP:
 		return filtersBelowJoins(n.In, below)
 	case engine.AggP:
-		return filtersBelowJoins(n.In, below)
-	case engine.SortP:
 		return filtersBelowJoins(n.In, below)
 	case engine.WindowP:
 		return filtersBelowJoins(n.In, below)

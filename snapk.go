@@ -21,9 +21,10 @@
 // (internal/rewrite and internal/engine, the implementation). Rewritten
 // plans run on a pull-based streaming iterator engine: selection,
 // projection, union and the probe side of the temporal join are
-// pipelined and never materialize intermediates, while the blocking
-// sweep operators (split, aggregation, difference, coalesce) consume
-// their input streams at a materialization boundary.
+// pipelined and never materialize intermediates, while the sweep
+// operators (split, aggregation, difference, coalesce) have one physical
+// form: blocking, consuming their input streams at a materialization
+// boundary.
 //
 // Quick start:
 //
@@ -57,8 +58,9 @@ type DB struct {
 
 // QueryLimits configures the per-query resource governor: a wall-clock
 // Timeout, a RowLimit on emitted result rows, and a MemBudget in bytes
-// over tracked operator state (sweep state, hash-join build sides,
-// exchange queue depth). Zero fields disable the corresponding limit;
+// over tracked operator state (the rows each sweep and sort enforcer
+// materializes, hash-join build sides). Zero fields disable the
+// corresponding limit;
 // the zero value disables governing entirely.
 type QueryLimits = engine.Limits
 
